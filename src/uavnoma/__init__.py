@@ -10,11 +10,11 @@ from .params import (ConfigError, IterLimits, RotorParams, SystemParams,
                      Tolerances, load_params, save_params)
 from .scenario import (GroundUser, Scenario, UserPair, generate_users,
                        make_scenario, pair_users)
-from .channel import (array_response, beacon_link, distance,
-                      harvested_tx_power, path_gain, propulsion_power,
-                      user_channel)
+from .channel import (array_response, beacon_link, distance, path_gain,
+                      propulsion_power, user_channel)
 from .linklayer import (Allocation, EEReport, LinkState, build_link_state,
-                        build_report, system_ee)
+                        build_report, cycle_energy, exact_rates, static_power,
+                        tx_budget)
 from .game import GameResult, UtilityParams, run_algorithm1
 from .sca import InfeasibleAllocation, ScaProblem, ScaResult, run_algorithm2
 from .placement import PlacementResult, ee_gradient, run_algorithm3

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bcd as bcd_mod
-from .linklayer import Allocation, build_link_state, build_report
+from .linklayer import (Allocation, build_link_state, build_report,
+                        cycle_energy, exact_rates, static_power, tx_budget)
 from .params import SystemParams
 from .scenario import Scenario
 
@@ -94,27 +95,18 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
     xs = np.linspace(prm.box[0], prm.box[1], spec.x_steps)
     ys = np.linspace(prm.box[2], prm.box[3], spec.y_steps)
 
-    hover = prm.rotor.P0 + prm.rotor.Pi
-    E0 = (prm.M * prm.P_a + hover) * prm.T + 2 * prm.N * prm.P_user * prm.T
-    c_tau = prm.M * prm.P_a + (prm.P_beacon if prm.include_beacon_energy else 0.0)
-
+    P_s = static_power(prm)
     a1 = alphas[:, None, :]           # K1 x 1 x N
-    a2 = 1.0 - a1
     best = (-np.inf, None, None, None, None)
     for x in xs:
         for y in ys:
             scn = scenario.with_uav(x, y)
             link = build_link_state(scn)
-            g1 = link.eff_gain_cc
-            g2 = link.eff_gain_ce
-            G = link.beacon.gain * prm.P_beacon * prm.xi
             for tau in taus:
-                P_T = tau * G / (prm.T - tau)
+                P_T = tx_budget(tau, link.beacon_gain, prm)
                 p = P_T * splits[None, :, :]          # 1 x K2 x N
-                snr_cc = a1 * p * g1
-                sinr_ce = a2 * p * g2 / (1.0 + a1 * p * g2)
-                r_cc = prm.B * np.log2(1.0 + snr_cc)
-                r_ce = prm.B * np.log2(1.0 + sinr_ce)
+                r_cc, r_ce = exact_rates(p, a1, link.eff_gain_cc,
+                                         link.eff_gain_ce, prm)
                 ok = (np.all(r_cc >= prm.R_min - 1e-12, axis=2)
                       & np.all(r_ce >= prm.R_min - 1e-12, axis=2))
                 loads = splits @ link.antenna_loads.T * P_T   # K2 x M
@@ -122,7 +114,7 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
                 if not np.any(ok):
                     continue
                 ee = ((prm.T - tau) * np.sum(r_cc + r_ce, axis=2)
-                      / (c_tau * tau + P_T * prm.T + E0))
+                      / cycle_energy(tau, P_T, P_s, prm))
                 ee = np.where(ok, ee, -np.inf)
                 idx = np.unravel_index(np.argmax(ee), ee.shape)
                 if ee[idx] > best[0]:

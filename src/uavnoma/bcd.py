@@ -2,11 +2,13 @@
 
 Round structure: intra-pair coefficients -> inter-pair power and WPT time
 -> UAV position. Every block's proposal is accepted only when it does not
-lower the EE, so the recorded EE trace is non-decreasing by construction.
+lower the EE and meets C1-C8, so the recorded EE trace is non-decreasing by
+construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +16,12 @@ import numpy as np
 from . import game as game_mod
 from . import placement as placement_mod
 from . import sca as sca_mod
-from .linklayer import Allocation, build_link_state, build_report
+from .linklayer import (Allocation, build_link_state, build_report,
+                        constraint_flags, static_power, tx_budget)
 from .scenario import Scenario
 
 EE_SLACK = 1e-12   # arithmetic noise allowance in acceptance tests
+PLACEMENT_GRID = 11   # points per axis of the first round's placement scan
 
 
 class PipelineInfeasible(RuntimeError):
@@ -64,26 +68,17 @@ def _polish_alpha(problem, p, tau, alpha_cc):
         def ee_of(a, n=n):
             trial = out.copy()
             trial[n] = a
-            prob = sca_mod.ScaProblem(
-                alpha_cc=trial, alpha_ce=1.0 - trial, g1=problem.g1,
-                g2=problem.g2, beacon_gain=problem.beacon_gain,
-                antenna_loads=problem.antenna_loads, params=problem.params,
-                mode=problem.mode, fixed_P_T=problem.fixed_P_T)
-            return prob.exact_objective(p, tau)
+            return dataclasses.replace(
+                problem, alpha_cc=trial,
+                alpha_ce=1.0 - trial).exact_objective(p, tau)
         out[n] = game_mod.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
     return out
 
 
 def _alpha_from_game(link, p, tau, params, fixed_P_T):
     """Run the per-pair game; roles swap when precoding flips the ordering."""
-    if fixed_P_T is not None:
-        P_T = fixed_P_T
-    else:
-        P_T = sca_mod.ScaProblem.from_link(
-            link, np.full(params.N, 0.5), np.full(params.N, 0.5),
-            params).budget(tau)
-    hover = params.rotor.P0 + params.rotor.Pi
-    Ps = P_T + params.M * params.P_a + hover + 2 * params.N * params.P_user
+    Ps = (tx_budget(tau, link.beacon_gain, params, fixed_P_T)
+          + static_power(params))
     alpha_cc = np.empty(params.N)
     alpha_ce = np.empty(params.N)
     results = []
@@ -119,11 +114,18 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     fixed_P_T replaces harvesting with a battery budget (tau = 0).
     """
     prm = params or scenario.params
+    mode = "oma" if scheme == "oma" else "noma"
     scn = scenario
     link = build_link_state(scn)
     rounds_cap = max_rounds or prm.iters.rounds
     counters = {"game_iterations": 0, "sca_outer": 0, "sca_inner": 0,
                 "placement_iterations": 0, "rounds": 0}
+
+    def feasible(scn, link, p, a_cc, a_ce, tau):
+        """Whether a candidate meets C1-C8; every accept guard asks this."""
+        alloc = Allocation(p=p, alpha_cc=a_cc, alpha_ce=a_ce, tau=tau,
+                           fixed_P_T=fixed_P_T)
+        return all(constraint_flags(scn, link, alloc, mode).values())
 
     alpha_cc = np.full(prm.N, 0.5)
     alpha_ce = 1.0 - alpha_cc
@@ -134,8 +136,8 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                 link.eff_gain_cc[n], link.eff_gain_ce[n], prm.eta)
 
     problem = _make_problem(link, alpha_cc, alpha_ce, prm, scheme, fixed_P_T)
-    p_min = sca_mod.combined_lower_bounds(problem)
     try:
+        p_min = sca_mod.combined_lower_bounds(problem)
         tau_lo, tau_hi = sca_mod.tau_bounds(problem, p_min)
     except sca_mod.InfeasibleAllocation as e:
         raise PipelineInfeasible("C3/C4", str(e)) from e
@@ -158,33 +160,30 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
         ee_start = ee
 
         # -- block 1: intra-pair coefficients
+        candidates = []
         if scheme == "noma" and use_game:
             cand_cc, cand_ce, game_results = _alpha_from_game(
                 link, p, tau, prm, fixed_P_T)
             counters["game_iterations"] += sum(len(g.trace) for g in game_results)
-            candidates = [(alpha_cc, alpha_ce), (cand_cc, cand_ce)]
-            if prm.alpha_polish:
-                pol = _polish_alpha(problem, p, tau, cand_cc)
-                candidates.append((pol, 1.0 - pol))
-            best = None
-            for a_cc, a_ce in candidates:
-                prob = _make_problem(link, a_cc, a_ce, prm, scheme, fixed_P_T)
-                val = prob.exact_objective(p, tau)
-                if best is None or val > best[0]:
-                    best = (val, a_cc, a_ce, prob)
-            if best[0] >= ee - EE_SLACK:
-                ee, alpha_cc, alpha_ce, problem = best
+            pol = _polish_alpha(problem, p, tau, cand_cc)
+            candidates = [(alpha_cc, alpha_ce), (cand_cc, cand_ce),
+                          (pol, 1.0 - pol)]
         elif scheme == "etpa":
             from .baselines import etpa_coefficients
             cand_cc = np.empty(prm.N)
             for n in range(prm.N):
                 cand_cc[n], _ = etpa_coefficients(
                     link.eff_gain_cc[n], link.eff_gain_ce[n], prm.eta)
-            prob = _make_problem(link, cand_cc, 1.0 - cand_cc, prm, scheme,
-                                 fixed_P_T)
+            candidates = [(cand_cc, 1.0 - cand_cc)]
+        best = None
+        for a_cc, a_ce in candidates:
+            prob = _make_problem(link, a_cc, a_ce, prm, scheme, fixed_P_T)
             val = prob.exact_objective(p, tau)
-            if val >= ee - EE_SLACK:
-                ee, alpha_cc, alpha_ce, problem = val, cand_cc, 1.0 - cand_cc, prob
+            if ((best is None or val > best[0])
+                    and feasible(scn, link, p, a_cc, a_ce, tau)):
+                best = (val, a_cc, a_ce, prob)
+        if best is not None and best[0] >= ee - EE_SLACK:
+            ee, alpha_cc, alpha_ce, problem = best
 
         # -- block 2: inter-pair power and WPT time
         relaxed = False
@@ -202,7 +201,8 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                                         fixed_P_T)
         counters["sca_outer"] += len(res2.trace) - 1
         counters["sca_inner"] += res2.inner_iterations
-        if res2.objective >= ee - EE_SLACK:
+        if (res2.objective >= ee - EE_SLACK
+                and feasible(scn, link, res2.p, alpha_cc, alpha_ce, res2.tau)):
             p, tau, ee = res2.p, res2.tau, res2.objective
 
         # -- block 3: UAV position
@@ -210,10 +210,9 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
             alloc = Allocation(p=p, alpha_cc=alpha_cc, alpha_ce=alpha_ce,
                                tau=tau, fixed_P_T=fixed_P_T)
             res3 = placement_mod.run_algorithm3(
-                scn, alloc, params=prm,
-                scheme="oma" if scheme == "oma" else "noma",
-                grid_init=prm.grid_init_points if (prm.grid_init_placement
-                                                   and r == 1) else 0)
+                scn, alloc, params=prm, scheme=mode,
+                grid_init=PLACEMENT_GRID if (prm.grid_init_placement
+                                             and r == 1) else 0)
             counters["placement_iterations"] += len(res3.trace) - 1
             if res3.ee >= ee - EE_SLACK and res3.xy != scn.uav_xy:
                 moved = scn.with_uav(*res3.xy)
@@ -230,7 +229,8 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                     ee_new = new_problem.exact_objective(p_new, tau)
                 except sca_mod.InfeasibleAllocation:
                     ee_new = -np.inf
-                if ee_new >= ee:
+                if ee_new >= ee and feasible(moved, new_link, p_new,
+                                             alpha_cc, alpha_ce, tau):
                     scn, link, problem = moved, new_link, new_problem
                     p, ee = p_new, ee_new
 
@@ -242,7 +242,7 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     trace.stop_reason = stop_reason
     alloc = Allocation(p=p, alpha_cc=alpha_cc, alpha_ce=alpha_ce, tau=tau,
                        fixed_P_T=fixed_P_T)
-    report = build_report(scn, alloc, scheme="oma" if scheme == "oma" else "noma")
+    report = build_report(scn, alloc, scheme=mode)
     return PipelineResult(scenario=scn, alloc=alloc, report=report,
                           trace=trace, scheme=scheme, counters=counters)
 
@@ -295,9 +295,3 @@ def run_pipeline_multistart(scenario: Scenario, params=None, k=6, grid=11,
         if best is None or res.ee > best.ee:
             best = res
     return best
-
-
-def complexity_probe(scenario: Scenario, params=None) -> dict:
-    """Iteration counts of one full run, for empirical scaling studies."""
-    result = run_pipeline(scenario, params=params)
-    return dict(result.counters)

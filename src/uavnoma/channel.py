@@ -26,11 +26,8 @@ class ChannelVector:
 
 @dataclass(frozen=True)
 class BeaconLink:
-    H_PU: np.ndarray     # complex M x M, rank 1
     d_PU: float
-    theta_PU: float
-    W_PU: np.ndarray     # unit energy beam
-    gain: float          # ||H_PU W_PU||^2
+    gain: float          # ||H_PU W_PU||^2 = M^2 beta_PU
 
 
 def distance(uav, point) -> float:
@@ -51,44 +48,26 @@ def array_response(theta: float, M: int, spacing_ratio: float) -> ArrayResponse:
     return ArrayResponse(np.exp(1j * phase) / np.sqrt(M))
 
 
-def user_channel(uav, user, params: SystemParams, fading=None) -> ChannelVector:
-    """LoS channel h = sqrt(M*beta)*a(theta), theta = arcsin(h/d).
-
-    `fading` is an optional complex small-scale scalar; the model is pure
-    LoS and callers leave it None unless the fading hook is enabled.
-    """
+def user_channel(uav, user, params: SystemParams) -> ChannelVector:
+    """LoS channel h = sqrt(M*beta)*a(theta), theta = arcsin(h/d)."""
     d = distance(uav, user.pos)
     theta = float(np.arcsin(uav[2] / d)) if uav[2] <= d else np.pi / 2
     beta_nk = path_gain(d, params)
     a = array_response(theta, params.M, params.spacing_ratio)
     h = np.sqrt(params.M * beta_nk) * a.entries
-    if fading is not None:
-        h = h * fading
     return ChannelVector(h=h, dist=d, theta=theta, beta_nk=beta_nk)
 
 
 def beacon_link(uav, params: SystemParams) -> BeaconLink:
-    """Rank-1 LoS beacon-to-UAV channel with the matched energy beam."""
+    """Rank-1 LoS beacon-to-UAV channel H_PU = M sqrt(beta_PU) a a^H.
+
+    The matched energy beam W_PU = a is its unique best unit beam, so the
+    harvesting gain ||H_PU W_PU||^2 is M^2 beta_PU in closed form.
+    """
     xb, yb = params.beacon_xy
     d_PU = np.sqrt((xb - uav[0]) ** 2 + (yb - uav[1]) ** 2 + uav[2] ** 2)
-    d_PU = max(d_PU, MIN_DISTANCE)
-    theta_PU = float(np.arcsin(uav[2] / d_PU))
-    beta_PU = params.beta0 * d_PU ** (-params.beta)
-    a = array_response(theta_PU, params.M, params.spacing_ratio).entries
-    H_PU = np.sqrt(params.M ** 2 * beta_PU) * np.outer(a, a.conj())
-    W_PU = a  # matched beam: unique maximizer of ||H_PU w|| on a rank-1 channel
-    gain = float(np.linalg.norm(H_PU @ W_PU) ** 2)
-    return BeaconLink(H_PU=H_PU, d_PU=float(d_PU), theta_PU=theta_PU,
-                      W_PU=W_PU, gain=gain)
-
-
-def harvested_tx_power(tau: float, link_gain: float, params: SystemParams) -> float:
-    """UAV transmit power budget sustained by harvesting for time tau."""
-    if tau >= params.T:
-        raise ValueError(f"tau={tau} must be < T={params.T}")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return tau * link_gain * params.P_beacon * params.xi / (params.T - tau)
+    d_PU = float(max(d_PU, MIN_DISTANCE))
+    return BeaconLink(d_PU=d_PU, gain=params.M ** 2 * path_gain(d_PU, params))
 
 
 def propulsion_power(V: float, rotor: RotorParams) -> float:

@@ -9,16 +9,15 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from . import baselines, bcd
-from .linklayer import Allocation
+from .linklayer import Allocation, build_link_state, build_report, tx_budget
 from .params import ConfigError, SystemParams, load_params
 from .scenario import make_scenario
-from .sca import ScaProblem
 
 VERSION = "uavnoma-0.1.0"
 
@@ -58,16 +57,21 @@ def _run_scheme(scheme, params, seed, fixed_P_T=None):
     return res.ee, res.counters["rounds"], res
 
 
-def _fixed_tau_ee(params, seed, tau):
-    """Reference EE curve point: equal split, even coefficients, given tau."""
-    scenario = make_scenario(seed, params)
-    from .linklayer import build_link_state
+def _neutral_ee(scenario, tau):
+    """EE of the neutral allocation: the budget split equally over the
+    pairs, alpha_cc = 0.3, harvest time tau."""
+    params = scenario.params
     link = build_link_state(scenario)
-    problem = ScaProblem.from_link(link, np.full(params.N, 0.3),
-                                   np.full(params.N, 0.7), params)
-    cap = problem.budget(tau)
-    p = np.full(params.N, cap / params.N)
-    return problem.exact_objective(p, tau)
+    P_T = tx_budget(tau, link.beacon_gain, params)
+    alloc = Allocation(p=np.full(params.N, P_T / params.N),
+                       alpha_cc=np.full(params.N, 0.3),
+                       alpha_ce=np.full(params.N, 0.7), tau=tau)
+    return build_report(scenario, alloc, link=link).EE
+
+
+def _fixed_tau_ee(params, seed, tau):
+    """Reference EE curve point: the neutral allocation at harvest time tau."""
+    return _neutral_ee(make_scenario(seed, params), tau)
 
 
 # -- experiment definitions -------------------------------------------------
@@ -78,7 +82,6 @@ class Sweep:
     values: list
     schemes: list
     apply: object                 # (params, value) -> (params, fixed_P_T)
-    base: dict = field(default_factory=dict)
 
 
 def _ax_param(name, extra=None):
@@ -152,7 +155,6 @@ def _run_point(args):
 
 
 def _heatmap_rows(params, seeds):
-    from .linklayer import build_link_state
     rows = []
     xs = np.linspace(params.box[0], params.box[1], 11)
     ys = np.linspace(params.box[2], params.box[3], 11)
@@ -160,12 +162,7 @@ def _heatmap_rows(params, seeds):
         scenario = make_scenario(seed, params)
         for x in xs:
             for y in ys:
-                link = build_link_state(scenario.with_uav(x, y))
-                problem = ScaProblem.from_link(
-                    link, np.full(params.N, 0.3), np.full(params.N, 0.7), params)
-                tau = params.T / 2
-                p = np.full(params.N, problem.budget(tau) / params.N)
-                ee = problem.exact_objective(p, tau)
+                ee = _neutral_ee(scenario.with_uav(x, y), params.T / 2)
                 rows.append((f"{x:.10g}:{y:.10g}", "grid_ee", seed, ee, 0, 0.0, ""))
     return rows
 
@@ -183,7 +180,12 @@ def run_experiment(name, params, seeds, out_dir, jobs=1):
         rows = []
         for seed in seeds:
             for scheme in sweep.schemes:
-                _, _, res = _run_scheme(scheme, params, seed)
+                try:
+                    _, _, res = _run_scheme(scheme, params, seed)
+                except (bcd.PipelineInfeasible, ValueError) as e:
+                    rows.append((None, scheme, seed, float("nan"), -1, 0.0,
+                                 type(e).__name__))
+                    continue
                 for rec in res.trace.rounds:
                     rows.append((rec["r"], scheme, seed, rec["EE"],
                                  rec["r"], 0.0, ""))

@@ -1,4 +1,4 @@
-"""ZF precoding, CE combining, rates, energy accounting and energy efficiency."""
+"""ZF precoding, CE combining, and the EE physics: budget, energy, rates."""
 
 from __future__ import annotations
 
@@ -22,22 +22,18 @@ class Precoder:
 
 @dataclass(frozen=True)
 class CombinerSet:
-    w_cc: np.ndarray   # N complex scalars, |w| = 1
     v_ce: np.ndarray   # M x N unit columns
     w_ce: np.ndarray   # N complex scalars, h_{n,2}^H v_{n,2}
 
 
 @dataclass(frozen=True)
 class LinkState:
-    """Effective per-pair gains and everything tied to the UAV position."""
+    """What the EE reads of a UAV position: ZF gains, loads, beacon gain."""
 
     eff_gain_cc: np.ndarray      # |h_{n,1}^H q_n|^2
     eff_gain_ce: np.ndarray      # |h_{n,2}^H q_n|^2
     precoder: Precoder
-    combiners: CombinerSet
-    beacon: ch.BeaconLink
-    cc_channels: tuple           # ChannelVector per pair
-    ce_channels: tuple
+    beacon_gain: float           # M^2 beta_PU
     antenna_loads: np.ndarray    # M x N, |[q_n]_iota|^2
 
 
@@ -50,6 +46,9 @@ class Allocation:
     fixed_P_T: float = None  # battery-supplied budget; None = harvested
 
     def __post_init__(self):
+        for name in ("p", "alpha_cc", "alpha_ce", "tau"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.p < 0):
             raise ValueError("pair powers must be nonnegative")
         if not np.allclose(self.alpha_cc + self.alpha_ce, 1.0, atol=1e-9):
@@ -97,7 +96,7 @@ def _null_space_pick(constraints, own):
     return q / nrm
 
 
-def zf_precoders(cc_channels, w_cc=None) -> Precoder:
+def zf_precoders(cc_channels) -> Precoder:
     """Per-pair ZF beams: q_n in the null space of the other CC channels.
 
     Among admissible directions the projection of the pair's own channel is
@@ -106,9 +105,7 @@ def zf_precoders(cc_channels, w_cc=None) -> Precoder:
     """
     N = len(cc_channels)
     M = cc_channels[0].h.shape[0]
-    if w_cc is None:
-        w_cc = np.ones(N, dtype=complex)
-    H = np.stack([w * cv.h for w, cv in zip(w_cc, cc_channels)])  # N x M
+    H = np.stack([cv.h for cv in cc_channels])  # N x M
     cols = np.empty((M, N), dtype=complex)
     for n in range(N):
         others = np.delete(H, n, axis=0).conj()
@@ -129,112 +126,106 @@ def ce_combiners(ce_channels, precoder: Precoder) -> CombinerSet:
         others = np.delete(G, n, axis=0).conj()
         v[:, n] = _null_space_pick(others, ce_channels[n].h)
         w_ce[n] = ce_channels[n].h.conj() @ v[:, n]
-    return CombinerSet(w_cc=np.ones(N, dtype=complex), v_ce=v, w_ce=w_ce)
+    return CombinerSet(v_ce=v, w_ce=w_ce)
 
 
 def build_link_state(scenario: Scenario) -> LinkState:
-    """Channels, precoders and combiners for the scenario's UAV position."""
+    """ZF gains, antenna loads and beacon gain at the scenario's UAV position."""
     params = scenario.params
     uav = (scenario.uav_xy[0], scenario.uav_xy[1], params.h)
     by_id = {u.id: u for u in scenario.users}
-    cc = tuple(ch.user_channel(uav, by_id[p.cc], params) for p in scenario.pairs)
-    ce = tuple(ch.user_channel(uav, by_id[p.ce], params) for p in scenario.pairs)
+    cc = [ch.user_channel(uav, by_id[p.cc], params) for p in scenario.pairs]
+    ce = [ch.user_channel(uav, by_id[p.ce], params) for p in scenario.pairs]
     prec = zf_precoders(cc)
-    comb = ce_combiners(ce, prec)
     g1 = np.abs(np.array([cc[n].h.conj() @ prec.columns[:, n]
                           for n in range(params.N)])) ** 2
     g2 = np.abs(np.array([ce[n].h.conj() @ prec.columns[:, n]
                           for n in range(params.N)])) ** 2
     return LinkState(
-        eff_gain_cc=g1, eff_gain_ce=g2, precoder=prec, combiners=comb,
-        beacon=ch.beacon_link(uav, params), cc_channels=cc, ce_channels=ce,
+        eff_gain_cc=g1, eff_gain_ce=g2, precoder=prec,
+        beacon_gain=ch.beacon_link(uav, params).gain,
         antenna_loads=np.abs(prec.columns) ** 2,
     )
 
 
-# -- SNRs, rates, energy ----------------------------------------------------
+# -- the EE physics: transmit budget, cycle energy, rates ---------------------
 
-def cc_snr(alpha_cc, p, eff_gain_cc):
-    return alpha_cc * p * eff_gain_cc
-
-
-def ce_sinr(alpha_cc, alpha_ce, p, eff_gain_ce):
-    return alpha_ce * p * eff_gain_ce / (1.0 + alpha_cc * p * eff_gain_ce)
+FLAG_SLACK = 1e-9   # arithmetic noise allowance of the constraint flags
 
 
-def pair_rates(link: LinkState, alloc: Allocation, n: int):
-    B = 1.0  # bit/s/Hz per unit bandwidth; scaled by params.B in sum_throughput
-    g_cc = cc_snr(alloc.alpha_cc[n], alloc.p[n], link.eff_gain_cc[n])
-    g_ce = ce_sinr(alloc.alpha_cc[n], alloc.alpha_ce[n], alloc.p[n],
-                   link.eff_gain_ce[n])
-    return B * np.log2(1.0 + g_cc), B * np.log2(1.0 + g_ce)
+def tx_budget(tau, beacon_gain, params: SystemParams, fixed_P_T=None):
+    """UAV transmit power budget P_T, W.
 
-
-def instantaneous_rates(link: LinkState, alloc: Allocation, params: SystemParams):
-    """Per-pair (R_cc, R_ce) in bit/s/Hz, without the (T - tau) factor."""
-    snr = cc_snr(alloc.alpha_cc, alloc.p, link.eff_gain_cc)
-    sinr = ce_sinr(alloc.alpha_cc, alloc.alpha_ce, alloc.p, link.eff_gain_ce)
-    return params.B * np.log2(1.0 + snr), params.B * np.log2(1.0 + sinr)
-
-
-def sum_throughput(link: LinkState, alloc: Allocation, params: SystemParams) -> float:
-    r_cc, r_ce = instantaneous_rates(link, alloc, params)
-    return float((params.T - alloc.tau) * np.sum(r_cc + r_ce))
-
-
-def power_budget(alloc: Allocation, params: SystemParams, link_gain: float) -> float:
-    if alloc.fixed_P_T is not None:
-        return alloc.fixed_P_T
-    return ch.harvested_tx_power(alloc.tau, link_gain, params)
-
-
-def system_energy(alloc: Allocation, params: SystemParams, link_gain: float):
-    """Energy per cycle and its breakdown.
-
-    The beacon's radiated energy P_beacon*tau is reported in the breakdown
-    but charged into E_sum only when params.include_beacon_energy is set.
+    A battery-supplied UAV has fixed_P_T; otherwise the beacon power
+    harvested during tau is spent over the transmit phase T - tau.
     """
-    P_T = power_budget(alloc, params, link_gain)
-    hover = ch.propulsion_power(0.0, params.rotor)
-    breakdown = {
-        "beacon": params.M * params.P_a * alloc.tau,
-        "uav_tx": P_T * params.T,
-        "uav_rf": params.M * params.P_a * params.T,
-        "hover": hover * params.T,
-        "users": 2 * params.N * params.P_user * params.T,
-        "beacon_radiated": params.P_beacon * alloc.tau,
-    }
-    E_sum = (breakdown["beacon"] + breakdown["uav_tx"] + breakdown["uav_rf"]
-             + breakdown["hover"] + breakdown["users"])
+    if fixed_P_T is not None:
+        return fixed_P_T
+    if not 0.0 <= tau < params.T:
+        raise ValueError(f"tau={tau} must lie in [0, T={params.T})")
+    return tau * beacon_gain * params.P_beacon * params.xi / (params.T - tau)
+
+
+def static_power(params: SystemParams) -> float:
+    """P_s, W: hover, the M RF chains and the 2N user circuits.
+
+    These draw over the whole cycle whatever the allocation.
+    """
+    return (ch.propulsion_power(0.0, params.rotor) + params.M * params.P_a
+            + 2 * params.N * params.P_user)
+
+
+def cycle_energy(tau, P_T, P_s, params: SystemParams):
+    """E_sum, J: P_T + P_s over the cycle plus the harvest-phase draw.
+
+    During tau the RF chains draw M*P_a more; the beacon's radiated
+    P_beacon*tau is charged only when params.include_beacon_energy is set.
+    """
+    c_tau = params.M * params.P_a
     if params.include_beacon_energy:
-        E_sum += breakdown["beacon_radiated"]
-    return E_sum, breakdown
+        c_tau += params.P_beacon
+    return (P_T + P_s) * params.T + c_tau * tau
+
+
+def exact_rates(p, alpha_cc, g_cc, g_ce, params: SystemParams,
+                scheme="noma"):
+    """Per-pair (R_cc, R_ce), bit/s/Hz, without the (T - tau) factor.
+
+    NOMA: the CC user cancels the CE signal; the CE user sees the CC signal
+    as noise, SINR alpha_ce p g/(1 + alpha_cc p g) with alpha_ce =
+    1 - alpha_cc (C7), written as a difference of logs. OMA: equal
+    orthogonal halves, full pair power per user, alpha_cc unused.
+    Broadcasts over leading axes.
+    """
+    B = params.B
+    if scheme == "noma":
+        return (B * np.log2(1.0 + alpha_cc * p * g_cc),
+                B * (np.log2(1.0 + p * g_ce) - np.log2(1.0 + alpha_cc * p * g_ce)))
+    if scheme == "oma":
+        return (0.5 * B * np.log2(1.0 + p * g_cc),
+                0.5 * B * np.log2(1.0 + p * g_ce))
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def constraint_flags(scenario: Scenario, link: LinkState, alloc: Allocation,
-                     slack: float = 1e-9) -> dict:
+                     scheme="noma") -> dict:
     params = scenario.params
-    P_T = power_budget(alloc, params, link.beacon.gain)
-    r_cc, r_ce = instantaneous_rates(link, alloc, params)
+    P_T = tx_budget(alloc.tau, link.beacon_gain, params, alloc.fixed_P_T)
+    r_cc, r_ce = exact_rates(alloc.p, alloc.alpha_cc, link.eff_gain_cc,
+                             link.eff_gain_ce, params, scheme)
     loads = link.antenna_loads @ alloc.p
     x_min, x_max, y_min, y_max = params.box
+    s = FLAG_SLACK
     return {
-        "C1": bool(np.sum(alloc.p) <= P_T + slack),
+        "C1": bool(np.sum(alloc.p) <= P_T + s),
         "C2": bool(0.0 <= alloc.tau < params.T),
-        "C3": bool(np.all(r_cc >= params.R_min - slack)),
-        "C4": bool(np.all(r_ce >= params.R_min - slack)),
-        "C5": bool(x_min - slack <= scenario.uav_xy[0] <= x_max + slack),
-        "C6": bool(y_min - slack <= scenario.uav_xy[1] <= y_max + slack),
+        "C3": bool(np.all(r_cc >= params.R_min - s)),
+        "C4": bool(np.all(r_ce >= params.R_min - s)),
+        "C5": bool(x_min - s <= scenario.uav_xy[0] <= x_max + s),
+        "C6": bool(y_min - s <= scenario.uav_xy[1] <= y_max + s),
         "C7": bool(np.allclose(alloc.alpha_cc + alloc.alpha_ce, 1.0, atol=1e-9)),
-        "C8": bool(np.all(loads <= params.P_iota + slack)),
+        "C8": bool(np.all(loads <= params.P_iota + s)),
     }
-
-
-def oma_rates(link: LinkState, alloc: Allocation, params: SystemParams):
-    """OMA convention: equal orthogonal halves, full pair power per user."""
-    r_cc = 0.5 * params.B * np.log2(1.0 + alloc.p * link.eff_gain_cc)
-    r_ce = 0.5 * params.B * np.log2(1.0 + alloc.p * link.eff_gain_ce)
-    return r_cc, r_ce
 
 
 def build_report(scenario: Scenario, alloc: Allocation, link: LinkState = None,
@@ -243,20 +234,18 @@ def build_report(scenario: Scenario, alloc: Allocation, link: LinkState = None,
     params = scenario.params
     if link is None:
         link = build_link_state(scenario)
-    if scheme == "noma":
-        r_cc, r_ce = instantaneous_rates(link, alloc, params)
-    elif scheme == "oma":
-        r_cc, r_ce = oma_rates(link, alloc, params)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    r_cc, r_ce = exact_rates(alloc.p, alloc.alpha_cc, link.eff_gain_cc,
+                             link.eff_gain_ce, params, scheme)
     R_sum = float((params.T - alloc.tau) * np.sum(r_cc + r_ce))
-    E_sum, breakdown = system_energy(alloc, params, link.beacon.gain)
+    P_T = tx_budget(alloc.tau, link.beacon_gain, params, alloc.fixed_P_T)
+    P_s = static_power(params)
+    E_sum = cycle_energy(alloc.tau, P_T, P_s, params)
+    # "harvest" is the extra draw during tau that cycle_energy charges
+    breakdown = {"uav_tx": P_T * params.T, "static": P_s * params.T,
+                 "harvest": E_sum - (P_T + P_s) * params.T}
     return EEReport(
         R_sum=R_sum, E_sum=E_sum, EE=R_sum / E_sum,
         rates_cc=list(map(float, r_cc)), rates_ce=list(map(float, r_ce)),
-        energy=breakdown, feasible=constraint_flags(scenario, link, alloc),
+        energy=breakdown,
+        feasible=constraint_flags(scenario, link, alloc, scheme),
     )
-
-
-def system_ee(scenario: Scenario, alloc: Allocation, link: LinkState = None) -> EEReport:
-    return build_report(scenario, alloc, link=link, scheme="noma")

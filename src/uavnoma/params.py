@@ -76,12 +76,8 @@ class SystemParams:
     rotor: RotorParams = field(default_factory=RotorParams)
     tol: Tolerances = field(default_factory=Tolerances)
     iters: IterLimits = field(default_factory=IterLimits)
-    psi: tuple = (0.01, 0.01, 0.01, 0.01)   # multiplier step sizes
     include_beacon_energy: bool = False     # charge P_beacon*tau into E_sum
-    rayleigh_fading: bool = False           # optional small-scale hook, off
-    alpha_polish: bool = True               # refine game output on the EE
     grid_init_placement: bool = True        # coarse-grid start for placement
-    grid_init_points: int = 11              # points per axis of that scan
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
@@ -115,7 +111,6 @@ class SystemParams:
         d = dataclasses.asdict(self)
         d["beacon_xy"] = list(d["beacon_xy"])
         d["box"] = list(d["box"])
-        d["psi"] = list(d["psi"])
         return d
 
     @classmethod
@@ -131,7 +126,7 @@ class SystemParams:
                 if bad:
                     raise ConfigError(f"unknown {sub} keys: {sorted(bad)}")
                 cfg[sub] = typ(**cfg[sub])
-        for tup in ("beacon_xy", "box", "psi"):
+        for tup in ("beacon_xy", "box"):
             if tup in cfg:
                 cfg[tup] = tuple(cfg[tup])
         try:

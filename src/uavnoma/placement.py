@@ -1,8 +1,7 @@
 """UAV horizontal position optimization under box constraints.
 
 The ascent direction is the finite-difference gradient of the exact EE
-(step controlled by a Richardson self-consistency check); the transcribed
-closed-form gradient is kept as a loose secondary reference only.
+(step controlled by a Richardson self-consistency check).
 """
 
 from __future__ import annotations
@@ -21,19 +20,11 @@ MAX_HALVINGS = 40
 
 
 @dataclass
-class PlacementState:
-    xy: tuple
-    multipliers: np.ndarray   # gamma_1..gamma_4 >= 0
-    ee: float
-    iteration: int
-
-
-@dataclass
 class PlacementResult:
     xy: tuple
     ee: float
     converged: bool
-    trace: list = field(default_factory=list)  # (omega, x, y, EE, g1..g4)
+    trace: list = field(default_factory=list)  # (omega, x, y, EE)
 
 
 def ee_of_position(scenario: Scenario, alloc: Allocation, scheme="noma"):
@@ -78,71 +69,7 @@ def ee_gradient(scenario: Scenario, alloc: Allocation, scheme="noma"):
     return fd_gradient(f, scenario.uav_xy[0], scenario.uav_xy[1])
 
 
-def ee_gradient_closed_form(scenario: Scenario, alloc: Allocation):
-    """Literal transcription of the analytic KKT gradient shorthand.
-
-    The source expression is ambiguous about per-pair summation and mixes
-    energy symbols; this evaluator sums over pairs and reads the propulsion
-    constants for the P_0/P_1 terms. It is a diagnostic cross-check, not
-    the authoritative gradient.
-    """
-    prm = scenario.params
-    link = build_link_state(scenario)
-    x0, y0 = scenario.uav_xy
-    xb, yb = prm.beacon_xy
-    B, T, beta, beta0 = prm.B, prm.T, prm.beta, prm.beta0
-    tau = alloc.tau
-    R7 = np.sqrt((x0 - xb) ** 2 + (y0 - yb) ** 2 + prm.h ** 2)
-    H2 = prm.M ** 2 * beta0  # rank-1 beacon gain before the path-loss factor
-    by_id = {u.id: u for u in scenario.users}
-    R3 = (tau * (prm.P_beacon + prm.M * prm.P_a)
-          + T * (prm.rotor.P0 + prm.rotor.Pi + prm.M * prm.P_a
-                 + H2 * prm.P_beacon * prm.xi * tau / ((T - tau) * R7 ** beta))
-          + 2 * prm.N * T * prm.P_user)
-    R10 = H2 * prm.N * prm.P_beacon * T * beta * prm.xi * tau
-    grad = np.zeros(2)
-    for n, pair in enumerate(scenario.pairs):
-        u1, u2 = by_id[pair.cc], by_id[pair.ce]
-        cv1, cv2 = link.cc_channels[n], link.ce_channels[n]
-        q = link.precoder.columns[:, n]
-        a1 = cv1.h / np.linalg.norm(cv1.h)
-        a2 = cv2.h / np.linalg.norm(cv2.h)
-        qn1 = abs(a1.conj() @ q) ** 2
-        qn2 = abs(a2.conj() @ q) ** 2
-        Q1 = prm.M * alloc.alpha_cc[n] * beta * beta0 * alloc.p[n] * qn1
-        Q2 = prm.M * alloc.alpha_ce[n] * beta * beta0 * alloc.p[n] * qn2
-        R8 = max(cv1.dist, 1.0)
-        R9 = max(cv2.dist, 1.0)
-        R5 = R9 ** (beta + 1.0)
-        R6 = 1.0 + Q1 * qn2 / (qn1 * R9 ** beta)
-        R2 = Q2 / (R6 * R9 ** beta) + 1.0
-        R4 = Q1 / R8 ** beta + 1.0
-        for axis, (u0, ub, p1, p2) in enumerate(
-                [(x0, xb, u1.pos[0], u2.pos[0]), (y0, yb, u1.pos[1], u2.pos[1])]):
-            R1 = 2.0 * u0 - 2.0 * p2
-            term_b = (R10 * (2.0 * u0 - 2.0 * ub)
-                      * (B * np.log(R2 * R4) / np.log(2.0))
-                      / (2.0 * R7 ** (beta + 2.0) * R3 ** 2))
-            inner = (B * (Q2 * R1 / (2.0 * R6 * R5 * R9)
-                          - Q1 * Q2 * R1 * qn2
-                          / (2.0 * beta * qn1 * R6 ** 2 * R5 * R9 ** (beta + 1.0)))
-                     / (np.log(2.0) * R2)
-                     + B * Q1 * (2.0 * u0 - 2.0 * p1)
-                     / (2.0 * np.log(2.0) * R4 * R8 ** (beta + 2.0)))
-            grad[axis] += term_b - (T - tau) * inner / R3
-    return grad
-
-
-def update_multipliers(multipliers, xy, box, steps):
-    """Projected subgradient update of the four box multipliers."""
-    x0, y0 = xy
-    x_min, x_max, y_min, y_max = box
-    g = np.asarray(multipliers, float)
-    slacks = np.array([x0 - x_min, x_max - x0, y0 - y_min, y_max - y0])
-    return np.maximum(g - np.asarray(steps, float) * slacks, 0.0)
-
-
-def maximize_over_box(f, xy0, box, eps, max_iter, psi=(0.01,) * 4,
+def maximize_over_box(f, xy0, box, eps, max_iter,
                       init_step=5.0) -> PlacementResult:
     """Projected gradient ascent of f over the box, Armijo backtracking."""
     x_min, x_max, y_min, y_max = box
@@ -153,8 +80,7 @@ def maximize_over_box(f, xy0, box, eps, max_iter, psi=(0.01,) * 4,
 
     z = clip(np.asarray(xy0, float))
     ee = f(z[0], z[1])
-    gammas = np.zeros(4)
-    trace = [(0, z[0], z[1], ee, *gammas)]
+    trace = [(0, z[0], z[1], ee)]
     converged = False
     g_prev = None
     z_prev = None
@@ -178,15 +104,14 @@ def maximize_over_box(f, xy0, box, eps, max_iter, psi=(0.01,) * 4,
                 improved = True
                 break
             step *= 0.5
-        gammas = update_multipliers(gammas, z, box, psi)
         if not improved:
-            trace.append((omega, z[0], z[1], ee, *gammas))
+            trace.append((omega, z[0], z[1], ee))
             converged = True
             break
         delta = ee_new - ee
         z_prev, g_prev = z.copy(), g
         z, ee = z_new, ee_new
-        trace.append((omega, z[0], z[1], ee, *gammas))
+        trace.append((omega, z[0], z[1], ee))
         if delta < eps:
             converged = True
             break
@@ -211,11 +136,11 @@ def run_algorithm3(scenario: Scenario, alloc: Allocation, params=None,
         cands = [(x, y) for x in xs for y in ys] + [tuple(xy0)]
         xy0 = max(cands, key=lambda c: f(c[0], c[1]))
     return maximize_over_box(f, xy0, prm.box, eps=prm.tol.eps_place,
-                             max_iter=prm.iters.N_MAX, psi=prm.psi)
+                             max_iter=prm.iters.N_MAX)
 
 
 def trace_to_csv_rows(result: PlacementResult):
-    yield "omega,x0,y0,EE,gamma1,gamma2,gamma3,gamma4"
+    yield "omega,x0,y0,EE"
     for row in result.trace:
         yield ",".join(f"{v:.10g}" if i else str(int(v))
                        for i, v in enumerate(row))

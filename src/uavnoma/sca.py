@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linklayer import LinkState
+from . import linklayer as ll
 from .params import SystemParams
 
 LN2 = np.log(2.0)
@@ -41,32 +41,28 @@ class ScaProblem:
 
     def __post_init__(self):
         p = self.params
-        self.G = self.beacon_gain * p.P_beacon * p.xi  # P_T = tau*G/(T - tau)
-        hover = (p.rotor.P0 + p.rotor.Pi)
-        self.E0 = (p.M * p.P_a + hover) * p.T + 2 * p.N * p.P_user * p.T
-        self.c_tau = p.M * p.P_a
-        if p.include_beacon_energy:
-            self.c_tau += p.P_beacon
+        # P_T = tau*G/(T - tau); at tau = T/2 the budget is G itself
+        self.G = ll.tx_budget(0.5 * p.T, self.beacon_gain, p)
+        self.P_s = ll.static_power(p)
+        self.c_tau = ll.cycle_energy(1.0, 0.0, 0.0, p)  # dE/dtau at fixed P_T
 
     @classmethod
-    def from_link(cls, link: LinkState, alpha_cc, alpha_ce, params,
+    def from_link(cls, link: ll.LinkState, alpha_cc, alpha_ce, params,
                   mode="noma", fixed_P_T=None):
         return cls(alpha_cc=np.asarray(alpha_cc, float),
                    alpha_ce=np.asarray(alpha_ce, float),
                    g1=link.eff_gain_cc, g2=link.eff_gain_ce,
-                   beacon_gain=link.beacon.gain,
+                   beacon_gain=link.beacon_gain,
                    antenna_loads=link.antenna_loads, params=params,
                    mode=mode, fixed_P_T=fixed_P_T)
 
     # -- budget and energy --------------------------------------------------
 
     def budget(self, tau: float) -> float:
-        if self.fixed_P_T is not None:
-            return self.fixed_P_T
-        return tau * self.G / (self.params.T - tau)
+        return ll.tx_budget(tau, self.beacon_gain, self.params, self.fixed_P_T)
 
     def energy(self, tau: float) -> float:
-        return self.c_tau * tau + self.budget(tau) * self.params.T + self.E0
+        return ll.cycle_energy(tau, self.budget(tau), self.P_s, self.params)
 
     def energy_dtau(self, tau: float) -> float:
         if self.fixed_P_T is not None:
@@ -77,15 +73,9 @@ class ScaProblem:
     # -- objectives ---------------------------------------------------------
 
     def rate_sum(self, p, tau) -> float:
-        prm = self.params
-        if self.mode == "noma":
-            terms = (np.log2(1.0 + self.alpha_cc * p * self.g1)
-                     + np.log2(1.0 + p * self.g2)
-                     - np.log2(1.0 + self.alpha_cc * p * self.g2))
-        else:
-            terms = 0.5 * (np.log2(1.0 + p * self.g1)
-                           + np.log2(1.0 + p * self.g2))
-        return float((prm.T - tau) * prm.B * np.sum(terms))
+        r_cc, r_ce = ll.exact_rates(p, self.alpha_cc, self.g1, self.g2,
+                                    self.params, self.mode)
+        return float((self.params.T - tau) * np.sum(r_cc + r_ce))
 
     def exact_objective(self, p, tau) -> float:
         return self.rate_sum(p, tau) / self.energy(tau)
@@ -137,7 +127,8 @@ def rate_lower_bounds(alpha_cc, alpha_ce, g1, g2, params, mode="noma"):
     """Per-pair minimum powers implied by the rate floors C3/C4.
 
     Returns (p_min_cc, p_min_ce) arrays; raises InfeasibleAllocation when
-    the CE SINR ceiling alpha_ce/alpha_cc sits below the required SINR.
+    the CE SINR ceiling alpha_ce/alpha_cc sits below the required SINR, or
+    when a floor is not finite (a zero effective gain).
     """
     alpha_cc = np.asarray(alpha_cc, float)
     alpha_ce = np.asarray(alpha_ce, float)
@@ -145,17 +136,26 @@ def rate_lower_bounds(alpha_cc, alpha_ce, g1, g2, params, mode="noma"):
     if t == 0.0:
         z = np.zeros_like(alpha_cc)
         return z, z.copy()
-    if mode == "oma":
-        t2 = 2.0 ** (2.0 * params.R_min / params.B) - 1.0
-        return t2 / np.asarray(g1, float), t2 / np.asarray(g2, float)
-    p_cc = t / (alpha_cc * g1)
-    margin = alpha_ce - t * alpha_cc
-    bad = np.nonzero(margin <= 0.0)[0]
+    g1, g2 = np.asarray(g1, float), np.asarray(g2, float)
+    with np.errstate(divide="ignore"):   # a zero gain is reported below
+        if mode == "oma":
+            t2 = 2.0 ** (2.0 * params.R_min / params.B) - 1.0
+            p_cc, p_ce = t2 / g1, t2 / g2
+        else:
+            p_cc = t / (alpha_cc * g1)
+            margin = alpha_ce - t * alpha_cc
+            bad = np.nonzero(margin <= 0.0)[0]
+            if bad.size:
+                raise InfeasibleAllocation(
+                    f"pair {int(bad[0])}: CE rate floor exceeds the SINR "
+                    f"ceiling alpha_ce/alpha_cc = "
+                    f"{alpha_ce[bad[0]] / alpha_cc[bad[0]]:.4g}")
+            p_ce = t / (g2 * margin)
+    bad = np.nonzero(~(np.isfinite(p_cc) & np.isfinite(p_ce)))[0]
     if bad.size:
         raise InfeasibleAllocation(
-            f"pair {int(bad[0])}: CE rate floor exceeds the SINR ceiling "
-            f"alpha_ce/alpha_cc = {alpha_ce[bad[0]] / alpha_cc[bad[0]]:.4g}")
-    p_ce = t / (np.asarray(g2, float) * margin)
+            f"pair {int(bad[0])}: rate floor needs unbounded power "
+            "(zero effective gain)")
     return p_cc, p_ce
 
 

@@ -47,13 +47,6 @@ class Scenario:
         if len(self.users) != 2 * self.params.N:
             raise ValueError("scenario must hold exactly 2N users")
 
-    def user(self, uid: int) -> GroundUser:
-        return self._by_id[uid]
-
-    @property
-    def _by_id(self):
-        return {u.id: u for u in self.users}
-
     def with_uav(self, x0: float, y0: float) -> "Scenario":
         return Scenario(self.params, (float(x0), float(y0)),
                         self.users, self.pairs, self.seed)

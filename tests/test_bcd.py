@@ -55,6 +55,32 @@ def test_infeasible_rate_floor_raises_structured():
     assert err.value.constraint == "C3/C4"
 
 
+def test_ce_floor_above_ceiling_raises_structured():
+    # seed 1 at the defaults: ETPA gives pair 2 a CE SINR ceiling below the
+    # floor before any block runs
+    params = SystemParams()
+    with pytest.raises(bcd.PipelineInfeasible) as err:
+        bcd.run_pipeline(make_scenario(1, params), scheme="etpa")
+    assert err.value.constraint == "C3/C4"
+
+
+def test_zero_gain_probe_keeps_pipeline_running():
+    # seed 3, N=2 at the defaults: a placement probe meets a zero ZF gain,
+    # whose rate floor is unbounded
+    params = SystemParams(N=2)
+    res = bcd.run_pipeline(make_scenario(3, params), scheme="noma")
+    assert all(res.report.feasible.values())
+
+
+def test_rejected_moves_keep_budget_and_floors():
+    # seed 1, N=2 at the defaults: a move whose floors exceed the new budget
+    # used to be accepted, returning powers far above the budget
+    params = SystemParams(N=2)
+    res = bcd.run_pipeline(make_scenario(1, params), scheme="noma")
+    flags = res.report.feasible
+    assert flags["C1"] and flags["C3"] and flags["C4"]
+
+
 def test_etpa_scheme_runs():
     params = SystemParams(**DESK)
     res = bcd.run_pipeline(make_scenario(2, params), params=params,
@@ -81,7 +107,7 @@ def test_fixed_budget_pipeline_tau_zero():
 
 def test_counters_populated():
     params = SystemParams(**DESK)
-    probe = bcd.complexity_probe(make_scenario(0, params), params=params)
+    probe = bcd.run_pipeline(make_scenario(0, params), params=params).counters
     assert probe["rounds"] >= 1
     assert probe["sca_outer"] >= 1
     assert probe["game_iterations"] >= 1

@@ -90,20 +90,6 @@ def test_beacon_gain_distance_power_law():
     assert g2 / g1 == pytest.approx(2.0 ** (-p1.beta), rel=1e-9)
 
 
-def test_harvested_power_arithmetic():
-    p = SystemParams(P_beacon=10.0, xi=0.8, T=1.0)
-    assert ch.harvested_tx_power(0.5, 2.0, p) == pytest.approx(16.0, rel=1e-14)
-    assert ch.harvested_tx_power(0.0, 2.0, p) == 0.0
-
-
-def test_harvested_power_guards():
-    p = SystemParams()
-    with pytest.raises(ValueError):
-        ch.harvested_tx_power(p.T, 1.0, p)
-    with pytest.raises(ValueError):
-        ch.harvested_tx_power(-0.1, 1.0, p)
-
-
 def test_propulsion_hover():
     assert ch.propulsion_power(0.0, RotorParams()) == pytest.approx(0.3, abs=1e-15)
 

@@ -125,3 +125,17 @@ def test_jobs_flag_deterministic(tmp_path):
     a = read_without_timing(tmp_path / "serial" / "fig10_tau.csv")
     b = read_without_timing(tmp_path / "par" / "fig10_tau.csv")
     assert a == b
+
+
+def test_convergence_sweep_writes_error_rows(tmp_path):
+    # R_min = 5 puts the CE floor above every NOMA SINR ceiling at the
+    # start, while OMA still runs
+    rc = cli.main(["run", "--experiment", "fig8_convergence", "--seeds", "1",
+                   "--out", str(tmp_path), "--override", "N=2", "--override",
+                   "M=4", "--override", "R_min=5.0"])
+    assert rc == 0
+    lines = (tmp_path / "fig8_convergence.csv").read_text().splitlines()
+    errors = sorted(line for line in lines[1:] if not line.endswith(","))
+    assert errors == [f"None,{s},0,nan,-1,0,PipelineInfeasible"
+                      for s in ("etpa_ld", "noma_ld", "noma_no_ld")]
+    assert any(",oma_ld," in line for line in lines)

@@ -63,13 +63,22 @@ def test_ce_combiner_residuals_random():
                 assert abs(np.vdot(G[m], comb.v_ce[:, n])) <= ll.ZF_TOL
 
 
-def test_cc_snr_and_ce_sinr():
-    assert ll.cc_snr(0.5, 2.0, 3.0) == pytest.approx(3.0)
-    assert ll.cc_snr(0.0, 2.0, 3.0) == 0.0
-    assert ll.ce_sinr(0.2, 0.8, 1.0, 1.0) == pytest.approx(0.8 / 1.2)
-    assert ll.ce_sinr(0.0, 0.5, 2.0, 1.5) == pytest.approx(0.5 * 2.0 * 1.5)
+def test_exact_rates_snrs():
+    p = SystemParams()   # B = 1
+
+    def snr(r):
+        return 2.0 ** r - 1.0
+    r_cc, _ = ll.exact_rates(2.0, 0.5, 3.0, 1.0, p)
+    assert snr(r_cc) == pytest.approx(3.0)
+    r_cc, _ = ll.exact_rates(2.0, 0.0, 3.0, 1.0, p)
+    assert r_cc == 0.0
+    _, r_ce = ll.exact_rates(1.0, 0.2, 1.0, 1.0, p)
+    assert snr(r_ce) == pytest.approx(0.8 / 1.2)
+    _, r_ce = ll.exact_rates(2.0, 0.0, 1.0, 1.5, p)
+    assert snr(r_ce) == pytest.approx(2.0 * 1.5)
     # interference-limited ceiling
-    assert ll.ce_sinr(0.3, 0.7, 1e12, 1.0) == pytest.approx(0.7 / 0.3, rel=1e-9)
+    _, r_ce = ll.exact_rates(1e12, 0.3, 1.0, 1.0, p)
+    assert snr(r_ce) == pytest.approx(0.7 / 0.3, rel=1e-9)
 
 
 def alloc_for(params, p, a_cc, tau, fixed=None):
@@ -88,12 +97,22 @@ def test_allocation_validation():
                       alpha_ce=np.array([0.6]), tau=0.1)
 
 
-def test_sum_throughput_vanishes_at_tau_T():
+@pytest.mark.parametrize("field, bad", [
+    ("p", np.nan), ("p", np.inf), ("alpha_cc", np.nan), ("alpha_ce", np.nan),
+    ("tau", np.nan), ("tau", np.inf)])
+def test_allocation_rejects_non_finite(field, bad):
+    kw = dict(p=np.array([1.0]), alpha_cc=np.array([0.5]),
+              alpha_ce=np.array([0.5]), tau=0.1)
+    kw[field] = np.array([bad]) if field != "tau" else bad
+    with pytest.raises(ValueError, match="finite"):
+        ll.Allocation(**kw)
+
+
+def test_throughput_vanishes_at_tau_T():
     p = SystemParams(N=1, M=2)
     scn = make_scenario(0, p)
-    link = ll.build_link_state(scn)
     a = alloc_for(p, 1.0, 0.3, p.T - 1e-9)
-    assert ll.sum_throughput(link, a, p) == pytest.approx(0.0, abs=1e-6)
+    assert ll.build_report(scn, a).R_sum == pytest.approx(0.0, abs=1e-6)
 
 
 def test_single_pair_unit_snrs_throughput():
@@ -107,42 +126,56 @@ def test_single_pair_unit_snrs_throughput():
     # ce: a_ce*p*g2/(1+a_cc*p*g2) = 1 has a different p; check additivity instead
     a = ll.Allocation(p=np.array([p_cc]), alpha_cc=np.array([a_cc]),
                       alpha_ce=np.array([1 - a_cc]), tau=0.0)
-    r_cc, r_ce = ll.instantaneous_rates(link, a, p)
+    r_cc, r_ce = ll.exact_rates(a.p, a.alpha_cc, g1, g2, p)
     assert r_cc[0] == pytest.approx(1.0, rel=1e-10)
-    assert ll.sum_throughput(link, a, p) == pytest.approx(
+    assert ll.build_report(scn, a, link=link).R_sum == pytest.approx(
         float(r_cc[0] + r_ce[0]), rel=1e-12)
+
+
+def test_tx_budget_arithmetic():
+    p = SystemParams(P_beacon=10.0, xi=0.8, T=1.0)
+    assert ll.tx_budget(0.5, 2.0, p) == pytest.approx(16.0, rel=1e-14)
+    assert ll.tx_budget(0.0, 2.0, p) == 0.0
+    assert ll.tx_budget(0.5, 2.0, p, fixed_P_T=3.0) == 3.0
+
+
+def test_tx_budget_guards():
+    p = SystemParams()
+    with pytest.raises(ValueError):
+        ll.tx_budget(p.T, 1.0, p)
+    with pytest.raises(ValueError):
+        ll.tx_budget(-0.1, 1.0, p)
+
+
+def energy(tau, params, link_gain):
+    P_T = ll.tx_budget(tau, link_gain, params)
+    return ll.cycle_energy(tau, P_T, ll.static_power(params), params)
 
 
 def test_energy_at_tau_zero():
     p = SystemParams()
-    a = alloc_for(p, 0.5, 0.4, 0.0)
-    E, br = ll.system_energy(a, p, link_gain=1.0)
     hover = ch.propulsion_power(0.0, p.rotor)
-    assert E == pytest.approx((p.M * p.P_a + hover) * p.T
-                              + 2 * p.N * p.P_user * p.T, rel=1e-12)
-    assert br["uav_tx"] == 0.0
+    assert energy(0.0, p, 1.0) == pytest.approx(
+        (p.M * p.P_a + hover) * p.T + 2 * p.N * p.P_user * p.T, rel=1e-12)
 
 
 def test_energy_increasing_in_tau():
     p = SystemParams()
-    vals = [ll.system_energy(alloc_for(p, 0.5, 0.4, t), p, 2.0)[0]
-            for t in (0.1, 0.3, 0.6, 0.9)]
+    vals = [energy(t, p, 2.0) for t in (0.1, 0.3, 0.6, 0.9)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_energy_user_term_scales_with_n():
+def test_static_power_user_term_scales_with_n():
     p1, p2 = SystemParams(N=2, M=8), SystemParams(N=4, M=8)
-    _, b1 = ll.system_energy(alloc_for(p1, 0.5, 0.4, 0.2), p1, 2.0)
-    _, b2 = ll.system_energy(alloc_for(p2, 0.5, 0.4, 0.2), p2, 2.0)
-    assert b2["users"] == pytest.approx(2.0 * b1["users"], rel=1e-12)
+    assert ll.static_power(p2) - ll.static_power(p1) == pytest.approx(
+        2 * 2 * p1.P_user, rel=1e-12)
 
 
 def test_beacon_energy_flag():
     base = SystemParams()
     on = SystemParams(include_beacon_energy=True)
-    a = alloc_for(base, 0.5, 0.4, 0.5)
-    e0, _ = ll.system_energy(a, base, 2.0)
-    e1, _ = ll.system_energy(a, on, 2.0)
+    e0 = energy(0.5, base, 2.0)
+    e1 = energy(0.5, on, 2.0)
     assert e1 - e0 == pytest.approx(base.P_beacon * 0.5, rel=1e-12)
 
 
@@ -162,13 +195,14 @@ def test_report_matches_reference_composition():
         sinr = a.alpha_ce[n] * a.p[n] * g2 / (1 + a.alpha_cc[n] * a.p[n] * g2)
         r_sum += np.log2(1 + snr) + np.log2(1 + sinr)
     r_sum *= (p.T - a.tau) * p.B
-    P_T = a.tau * link.beacon.gain * p.P_beacon * p.xi / (p.T - a.tau)
+    P_T = a.tau * link.beacon_gain * p.P_beacon * p.xi / (p.T - a.tau)
     e_sum = (p.M * p.P_a * a.tau + P_T * p.T + p.M * p.P_a * p.T
              + ch.propulsion_power(0.0, p.rotor) * p.T
              + 2 * p.N * p.P_user * p.T)
     assert rep.R_sum == pytest.approx(r_sum, rel=1e-12)
     assert rep.E_sum == pytest.approx(e_sum, rel=1e-12)
     assert rep.EE == pytest.approx(r_sum / e_sum, rel=1e-12)
+    assert sum(rep.energy.values()) == pytest.approx(e_sum, rel=1e-12)
 
 
 def test_constraint_flags():
@@ -188,8 +222,64 @@ def test_oma_rates_convention():
     scn = make_scenario(0, p)
     link = ll.build_link_state(scn)
     a = alloc_for(p, 2.0, 0.5, 0.0, fixed=5.0)
-    r_cc, r_ce = ll.oma_rates(link, a, p)
+    r_cc, r_ce = ll.exact_rates(a.p, a.alpha_cc, link.eff_gain_cc,
+                                link.eff_gain_ce, p, scheme="oma")
     assert r_cc[0] == pytest.approx(
         0.5 * np.log2(1 + 2.0 * link.eff_gain_cc[0]), rel=1e-12)
     assert r_ce[0] == pytest.approx(
         0.5 * np.log2(1 + 2.0 * link.eff_gain_ce[0]), rel=1e-12)
+
+
+def test_oma_flags_use_oma_rates():
+    """An OMA allocation at its own rate floor meets C3 and C4."""
+    p = SystemParams(N=1, M=2)
+    scn = make_scenario(0, p)
+    link = ll.build_link_state(scn)
+    t2 = 2.0 ** (2.0 * p.R_min / p.B) - 1.0
+    p_floor = t2 / min(link.eff_gain_cc[0], link.eff_gain_ce[0])
+    a = alloc_for(p, p_floor, 0.5, 0.0, fixed=p_floor)
+    flags = ll.constraint_flags(scn, link, a, scheme="oma")
+    assert flags["C3"] and flags["C4"]
+    assert not ll.constraint_flags(scn, link, a, scheme="noma")["C4"]
+
+
+# -- the EE physics is written once -----------------------------------------
+
+PHYSICS_CASES = {
+    "noma": dict(scheme="noma", fixed_P_T=None, params={}),
+    "oma": dict(scheme="oma", fixed_P_T=None, params={}),
+    "fixed_P_T": dict(scheme="noma", fixed_P_T=2.5, params={}),
+    "beacon_energy": dict(scheme="noma", fixed_P_T=None,
+                          params=dict(include_beacon_energy=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHYSICS_CASES))
+def test_ee_defined_once(case):
+    """Report, SCA objective, CLI curve and ES oracle agree on one point."""
+    from uavnoma import baselines, cli
+    from uavnoma.sca import ScaProblem
+
+    c = PHYSICS_CASES[case]
+    params = SystemParams(N=2, M=4, R_min=0.0, **c["params"])
+    seed, tau = 4, 0.35 if c["fixed_P_T"] is None else 0.0
+    scn = make_scenario(seed, params)
+    link = ll.build_link_state(scn)
+    P_T = ll.tx_budget(tau, link.beacon_gain, params, c["fixed_P_T"])
+    alloc = ll.Allocation(p=np.full(2, P_T / 2), alpha_cc=np.full(2, 0.3),
+                          alpha_ce=np.full(2, 0.7), tau=tau,
+                          fixed_P_T=c["fixed_P_T"])
+    ee = ll.build_report(scn, alloc, link=link, scheme=c["scheme"]).EE
+    problem = ScaProblem.from_link(link, alloc.alpha_cc, alloc.alpha_ce,
+                                   params, mode=c["scheme"],
+                                   fixed_P_T=c["fixed_P_T"])
+    assert problem.exact_objective(alloc.p, tau) == pytest.approx(ee, rel=1e-12)
+    if c["scheme"] != "noma" or c["fixed_P_T"] is not None:
+        return   # the CLI curve and the oracle are harvested NOMA only
+    assert cli._fixed_tau_ee(params, seed, tau) == pytest.approx(ee, rel=1e-12)
+    spec = baselines.GridSpec(alpha_steps=5, power_steps=5, tau_steps=5,
+                              x_steps=3, y_steps=3)
+    best_scn, best_alloc, ee_es = baselines.exhaustive_search(scn,
+                                                               grid_spec=spec)
+    assert ll.build_report(best_scn, best_alloc).EE == pytest.approx(
+        ee_es, rel=1e-12)

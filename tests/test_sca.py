@@ -230,3 +230,11 @@ def test_trace_csv():
     rows = list(sca.trace_to_csv_rows(sca.run_algorithm2(problem)))
     assert rows[0].startswith("j,tau,p_1")
     assert len(rows) >= 2
+
+
+@pytest.mark.parametrize("mode", ["noma", "oma"])
+def test_lower_bounds_zero_gain_infeasible(mode):
+    p = SystemParams(N=2, M=4, R_min=0.1)
+    with pytest.raises(sca.InfeasibleAllocation, match="pair 1"):
+        sca.rate_lower_bounds([0.3, 0.3], [0.7, 0.7], np.array([1.0, 0.0]),
+                              np.array([0.5, 0.0]), p, mode=mode)
