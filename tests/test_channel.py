@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uavnoma import channel as ch
+from uavnoma import linklayer as ll
 from uavnoma.params import RotorParams, SystemParams
 from uavnoma.scenario import GroundUser
 
@@ -88,6 +89,21 @@ def test_beacon_gain_distance_power_law():
     g1 = ch.beacon_link((0.0, 0.0, p1.h), p1).gain
     g2 = ch.beacon_link((0.0, 0.0, p2.h), p2).gain
     assert g2 / g1 == pytest.approx(2.0 ** (-p1.beta), rel=1e-9)
+
+
+def test_harvested_power_arithmetic():
+    p = SystemParams(P_beacon=10.0, xi=0.8, T=1.0)
+    assert ll.tx_budget(0.5, 2.0, p) == pytest.approx(16.0, rel=1e-14)
+    assert ll.tx_budget(0.0, 2.0, p) == 0.0
+    assert ll.tx_budget(0.5, 2.0, p, fixed_P_T=3.0) == 3.0
+
+
+def test_harvested_power_guards():
+    p = SystemParams()
+    with pytest.raises(ValueError):
+        ll.tx_budget(p.T, 1.0, p)
+    with pytest.raises(ValueError):
+        ll.tx_budget(-0.1, 1.0, p)
 
 
 def test_propulsion_hover():

@@ -63,7 +63,7 @@ def test_ce_combiner_residuals_random():
                 assert abs(np.vdot(G[m], comb.v_ce[:, n])) <= ll.ZF_TOL
 
 
-def test_exact_rates_snrs():
+def test_cc_snr_and_ce_sinr():
     p = SystemParams()   # B = 1
 
     def snr(r):
@@ -108,7 +108,7 @@ def test_allocation_rejects_non_finite(field, bad):
         ll.Allocation(**kw)
 
 
-def test_throughput_vanishes_at_tau_T():
+def test_sum_throughput_vanishes_at_tau_T():
     p = SystemParams(N=1, M=2)
     scn = make_scenario(0, p)
     a = alloc_for(p, 1.0, 0.3, p.T - 1e-9)
@@ -132,21 +132,6 @@ def test_single_pair_unit_snrs_throughput():
         float(r_cc[0] + r_ce[0]), rel=1e-12)
 
 
-def test_tx_budget_arithmetic():
-    p = SystemParams(P_beacon=10.0, xi=0.8, T=1.0)
-    assert ll.tx_budget(0.5, 2.0, p) == pytest.approx(16.0, rel=1e-14)
-    assert ll.tx_budget(0.0, 2.0, p) == 0.0
-    assert ll.tx_budget(0.5, 2.0, p, fixed_P_T=3.0) == 3.0
-
-
-def test_tx_budget_guards():
-    p = SystemParams()
-    with pytest.raises(ValueError):
-        ll.tx_budget(p.T, 1.0, p)
-    with pytest.raises(ValueError):
-        ll.tx_budget(-0.1, 1.0, p)
-
-
 def energy(tau, params, link_gain):
     P_T = ll.tx_budget(tau, link_gain, params)
     return ll.cycle_energy(tau, P_T, ll.static_power(params), params)
@@ -165,7 +150,7 @@ def test_energy_increasing_in_tau():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_static_power_user_term_scales_with_n():
+def test_energy_user_term_scales_with_n():
     p1, p2 = SystemParams(N=2, M=8), SystemParams(N=4, M=8)
     assert ll.static_power(p2) - ll.static_power(p1) == pytest.approx(
         2 * 2 * p1.P_user, rel=1e-12)
