@@ -13,8 +13,8 @@ from .scenario import (GroundUser, Scenario, UserPair, generate_users,
 from .channel import (array_response, beacon_link, distance, path_gain,
                       propulsion_power, user_channel)
 from .linklayer import (Allocation, EEReport, LinkState, build_link_state,
-                        build_report, cycle_energy, exact_rates, static_power,
-                        tx_budget)
+                        build_report, cycle_ee, cycle_energy, exact_rates,
+                        link_gains, static_power, tx_budget)
 from .game import GameResult, UtilityParams, run_algorithm1
 from .sca import InfeasibleAllocation, ScaProblem, ScaResult, run_algorithm2
 from .placement import PlacementResult, ee_gradient, run_algorithm3

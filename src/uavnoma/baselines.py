@@ -8,8 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bcd as bcd_mod
-from .linklayer import (Allocation, build_link_state, build_report,
-                        cycle_energy, exact_rates, static_power, tx_budget)
+# build_link_state is imported for the name perfbench/tracer.py wraps here
+from .linklayer import (Allocation, build_link_state, build_report,  # noqa: F401
+                        cycle_energy, exact_rates, link_gains, static_power,
+                        tx_budget)
 from .params import SystemParams
 from .scenario import Scenario
 
@@ -97,29 +99,31 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
 
     P_s = static_power(prm)
     a1 = alphas[:, None, :]           # K1 x 1 x N
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = X.ravel(), Y.ravel()
+    gains_cc, gains_ce, beams, beacon_gains = link_gains(
+        scenario, np.stack([X, Y], axis=1))
     best = (-np.inf, None, None, None, None)
-    for x in xs:
-        for y in ys:
-            scn = scenario.with_uav(x, y)
-            link = build_link_state(scn)
-            for tau in taus:
-                P_T = tx_budget(tau, link.beacon_gain, prm)
-                p = P_T * splits[None, :, :]          # 1 x K2 x N
-                r_cc, r_ce = exact_rates(p, a1, link.eff_gain_cc,
-                                         link.eff_gain_ce, prm)
-                ok = (np.all(r_cc >= prm.R_min - 1e-12, axis=2)
-                      & np.all(r_ce >= prm.R_min - 1e-12, axis=2))
-                loads = splits @ link.antenna_loads.T * P_T   # K2 x M
-                ok &= np.all(loads <= prm.P_iota + 1e-12, axis=1)[None, :]
-                if not np.any(ok):
-                    continue
-                ee = ((prm.T - tau) * np.sum(r_cc + r_ce, axis=2)
-                      / cycle_energy(tau, P_T, P_s, prm))
-                ee = np.where(ok, ee, -np.inf)
-                idx = np.unravel_index(np.argmax(ee), ee.shape)
-                if ee[idx] > best[0]:
-                    best = (float(ee[idx]), (x, y), tau,
-                            alphas[idx[0]].copy(), P_T * splits[idx[1]].copy())
+    for x, y, g_cc, g_ce, q, beacon_gain in zip(
+            X.tolist(), Y.tolist(), gains_cc, gains_ce, beams, beacon_gains):
+        antenna_loads = np.abs(q) ** 2
+        for tau in taus:
+            P_T = tx_budget(tau, beacon_gain, prm)
+            p = P_T * splits[None, :, :]          # 1 x K2 x N
+            r_cc, r_ce = exact_rates(p, a1, g_cc, g_ce, prm)
+            ok = (np.all(r_cc >= prm.R_min - 1e-12, axis=2)
+                  & np.all(r_ce >= prm.R_min - 1e-12, axis=2))
+            loads = splits @ antenna_loads.T * P_T   # K2 x M
+            ok &= np.all(loads <= prm.P_iota + 1e-12, axis=1)[None, :]
+            if not np.any(ok):
+                continue
+            ee = ((prm.T - tau) * np.sum(r_cc + r_ce, axis=2)
+                  / cycle_energy(tau, P_T, P_s, prm))
+            ee = np.where(ok, ee, -np.inf)
+            idx = np.unravel_index(np.argmax(ee), ee.shape)
+            if ee[idx] > best[0]:
+                best = (float(ee[idx]), (x, y), tau,
+                        alphas[idx[0]].copy(), P_T * splits[idx[1]].copy())
 
     ee_best, xy, tau, alpha_cc, p = best
     if xy is None:

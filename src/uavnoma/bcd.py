@@ -262,16 +262,19 @@ def position_starts(scenario: Scenario, params=None, k=6, grid=11,
     so each distinct basin of the placement landscape gets one start.
     """
     prm = params or scenario.params
-    x_min, x_max, y_min, y_max = prm.box
+    box = placement_mod.search_box(scenario, prm)
+    x_min, x_max, y_min, y_max = box
     if min_sep is None:
         min_sep = 0.2 * max(x_max - x_min, y_max - y_min)
     alloc = Allocation(p=np.full(prm.N, 1.0),
                        alpha_cc=np.full(prm.N, 0.3),
                        alpha_ce=np.full(prm.N, 0.7), tau=0.5 * prm.T)
-    f = placement_mod.ee_of_position(scenario, alloc)
-    xs = np.linspace(x_min, x_max, grid)
-    ys = np.linspace(y_min, y_max, grid)
-    ranked = sorted(((f(x, y), x, y) for x in xs for y in ys), reverse=True)
+    f = placement_mod.ee_of_position(scenario, alloc, box=box)
+    X, Y = np.meshgrid(np.linspace(x_min, x_max, grid),
+                       np.linspace(y_min, y_max, grid), indexing="ij")
+    X, Y = X.ravel(), Y.ravel()
+    ranked = sorted(zip(f(X, Y).tolist(), X.tolist(), Y.tolist()),
+                    reverse=True)
     picked = []
     for _, x, y in ranked:
         if all((x - a) ** 2 + (y - b) ** 2 >= min_sep ** 2

@@ -18,44 +18,63 @@ class ArrayResponse:
 
 @dataclass(frozen=True)
 class ChannelVector:
-    h: np.ndarray        # complex M-vector
-    dist: float
+    h: np.ndarray        # complex, trailing axis of length M
+    dist: float          # or an array of distances, from los_channels
     theta: float
     beta_nk: float       # large-scale path gain
 
 
 @dataclass(frozen=True)
 class BeaconLink:
-    d_PU: float
+    d_PU: float          # or an array, one per UAV position
     gain: float          # ||H_PU W_PU||^2 = M^2 beta_PU
 
 
-def distance(uav, point) -> float:
-    """3-D Euclidean distance, clamped below at the 1 m minimum separation."""
-    d = np.sqrt((uav[0] - point[0]) ** 2
-                + (uav[1] - point[1]) ** 2
-                + (uav[2] - point[2]) ** 2)
-    return float(max(d, MIN_DISTANCE))
+def distance(uav, point):
+    """3-D Euclidean distance, clamped below at the 1 m minimum separation.
+
+    Broadcasts over leading axes of `uav` and `point` (last axis x, y, z).
+    """
+    uav = np.asarray(uav, float)
+    point = np.asarray(point, float)
+    d = np.sqrt((uav[..., 0] - point[..., 0]) ** 2
+                + (uav[..., 1] - point[..., 1]) ** 2
+                + (uav[..., 2] - point[..., 2]) ** 2)
+    return np.maximum(d, MIN_DISTANCE)
 
 
-def path_gain(dist: float, params: SystemParams) -> float:
+def path_gain(dist, params: SystemParams):
     return params.beta0 * dist ** (-params.beta)
 
 
-def array_response(theta: float, M: int, spacing_ratio: float) -> ArrayResponse:
+def array_response(theta, M: int, spacing_ratio: float) -> ArrayResponse:
+    """ULA response; a `theta` array gives one response per leading index."""
     m = np.arange(M)
-    phase = 2.0 * np.pi * spacing_ratio * m * np.cos(theta)
+    phase = 2.0 * np.pi * spacing_ratio * m * np.cos(np.asarray(theta)[..., None])
     return ArrayResponse(np.exp(1j * phase) / np.sqrt(M))
 
 
-def user_channel(uav, user, params: SystemParams) -> ChannelVector:
-    """LoS channel h = sqrt(M*beta)*a(theta), theta = arcsin(h/d)."""
-    d = distance(uav, user.pos)
-    theta = float(np.arcsin(uav[2] / d)) if uav[2] <= d else np.pi / 2
+def los_channels(uav, points, params: SystemParams) -> ChannelVector:
+    """LoS channels h = sqrt(M*beta)*a(theta), theta = arcsin(z/d).
+
+    `uav` and `points` broadcast against each other over leading axes
+    (last axis x, y, z); every field carries the broadcast shape, and `h`
+    one more trailing axis of length M.
+    """
+    d = distance(uav, points)
+    z = np.asarray(uav, float)[..., 2]
+    theta = np.arcsin(np.minimum(z / d, 1.0))   # pi/2 under a 1 m clamp
     beta_nk = path_gain(d, params)
     a = array_response(theta, params.M, params.spacing_ratio)
-    h = np.sqrt(params.M * beta_nk) * a.entries
+    h = np.sqrt(params.M * beta_nk)[..., None] * a.entries
     return ChannelVector(h=h, dist=d, theta=theta, beta_nk=beta_nk)
+
+
+def user_channel(uav, user, params: SystemParams) -> ChannelVector:
+    """LoS channel from a UAV at `uav` (x, y, z) to one ground user."""
+    cv = los_channels(uav, user.pos, params)
+    return ChannelVector(h=cv.h, dist=float(cv.dist), theta=float(cv.theta),
+                         beta_nk=float(cv.beta_nk))
 
 
 def beacon_link(uav, params: SystemParams) -> BeaconLink:
@@ -63,10 +82,9 @@ def beacon_link(uav, params: SystemParams) -> BeaconLink:
 
     The matched energy beam W_PU = a is its unique best unit beam, so the
     harvesting gain ||H_PU W_PU||^2 is M^2 beta_PU in closed form.
+    Broadcasts over leading axes of `uav`.
     """
-    xb, yb = params.beacon_xy
-    d_PU = np.sqrt((xb - uav[0]) ** 2 + (yb - uav[1]) ** 2 + uav[2] ** 2)
-    d_PU = float(max(d_PU, MIN_DISTANCE))
+    d_PU = distance(uav, (*params.beacon_xy, 0.0))
     return BeaconLink(d_PU=d_PU, gain=params.M ** 2 * path_gain(d_PU, params))
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +17,7 @@ import numpy as np
 import yaml
 
 from . import baselines, bcd
-from .linklayer import Allocation, build_link_state, build_report, tx_budget
+from .linklayer import cycle_ee, link_gains, tx_budget
 from .params import ConfigError, SystemParams, load_params
 from .scenario import make_scenario
 
@@ -57,21 +59,20 @@ def _run_scheme(scheme, params, seed, fixed_P_T=None):
     return res.ee, res.counters["rounds"], res
 
 
-def _neutral_ee(scenario, tau):
-    """EE of the neutral allocation: the budget split equally over the
-    pairs, alpha_cc = 0.3, harvest time tau."""
+def _neutral_ee(scenario, tau, xy):
+    """EE of the neutral allocation at UAV positions xy (K x 2): the budget
+    split equally over the pairs, alpha_cc = 0.3, harvest time tau."""
     params = scenario.params
-    link = build_link_state(scenario)
-    P_T = tx_budget(tau, link.beacon_gain, params)
-    alloc = Allocation(p=np.full(params.N, P_T / params.N),
-                       alpha_cc=np.full(params.N, 0.3),
-                       alpha_ce=np.full(params.N, 0.7), tau=tau)
-    return build_report(scenario, alloc, link=link).EE
+    g_cc, g_ce, _, beacon_gain = link_gains(scenario, xy)
+    P_T = tx_budget(tau, beacon_gain, params)
+    return cycle_ee((P_T / params.N)[:, None], 0.3, tau, g_cc, g_ce,
+                    beacon_gain, params)
 
 
 def _fixed_tau_ee(params, seed, tau):
     """Reference EE curve point: the neutral allocation at harvest time tau."""
-    return _neutral_ee(make_scenario(seed, params), tau)
+    scenario = make_scenario(seed, params)
+    return float(_neutral_ee(scenario, tau, scenario.uav_xy)[0])
 
 
 # -- experiment definitions -------------------------------------------------
@@ -137,9 +138,8 @@ def _experiments():
     }
 
 
-def _run_point(args):
+def _run_point(name, axis_value, scheme, seed, params, fixed_P_T):
     """One (experiment, axis value, scheme, seed) cell; returns a CSV row."""
-    name, axis_value, scheme, seed, params, fixed_P_T = args
     t0 = time.perf_counter()
     try:
         if scheme == "fixed_tau":
@@ -154,17 +154,34 @@ def _run_point(args):
     return (axis_value, scheme, seed, ee, rounds, wall_ms, err)
 
 
-def _heatmap_rows(params, seeds):
-    rows = []
-    xs = np.linspace(params.box[0], params.box[1], 11)
-    ys = np.linspace(params.box[2], params.box[3], 11)
-    for seed in seeds:
-        scenario = make_scenario(seed, params)
-        for x in xs:
-            for y in ys:
-                ee = _neutral_ee(scenario.with_uav(x, y), params.T / 2)
-                rows.append((f"{x:.10g}:{y:.10g}", "grid_ee", seed, ee, 0, 0.0, ""))
-    return rows
+def _heatmap_rows(params, seed):
+    """The 11 x 11 position grid of one seed, at harvest time T/2."""
+    X, Y = np.meshgrid(np.linspace(params.box[0], params.box[1], 11),
+                       np.linspace(params.box[2], params.box[3], 11),
+                       indexing="ij")
+    X, Y = X.ravel(), Y.ravel()
+    ees = _neutral_ee(make_scenario(seed, params), params.T / 2,
+                      np.stack([X, Y], axis=1))
+    return [(f"{x:.10g}:{y:.10g}", "grid_ee", seed, ee, 0, 0.0, "")
+            for x, y, ee in zip(X.tolist(), Y.tolist(), ees.tolist())]
+
+
+def _convergence_rows(scheme, params, seed):
+    """One row per BCD round of one (scheme, seed), or one error row."""
+    try:
+        _, _, res = _run_scheme(scheme, params, seed)
+    except (bcd.PipelineInfeasible, ValueError) as e:
+        return [(None, scheme, seed, float("nan"), -1, 0.0, type(e).__name__)]
+    return [(rec["r"], scheme, seed, rec["EE"], rec["r"], 0.0, "")
+            for rec in res.trace.rounds]
+
+
+def _map(fn, tasks, jobs):
+    """[fn(*t) for t in tasks], in `jobs` worker processes when jobs > 1."""
+    if jobs > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
 
 
 def run_experiment(name, params, seeds, out_dir, jobs=1):
@@ -173,34 +190,24 @@ def run_experiment(name, params, seeds, out_dir, jobs=1):
         raise ConfigError(f"unknown experiment {name!r}; "
                           f"choose from {sorted(exps)}")
     sweep = exps[name]
-    warnings = 0
     if name == "fig11_placement_heatmap":
-        rows = _heatmap_rows(params, seeds)
+        rows = [r for cell in _map(_heatmap_rows,
+                                   [(params, seed) for seed in seeds], jobs)
+                for r in cell]
     elif name == "fig8_convergence":
-        rows = []
-        for seed in seeds:
-            for scheme in sweep.schemes:
-                try:
-                    _, _, res = _run_scheme(scheme, params, seed)
-                except (bcd.PipelineInfeasible, ValueError) as e:
-                    rows.append((None, scheme, seed, float("nan"), -1, 0.0,
-                                 type(e).__name__))
-                    continue
-                for rec in res.trace.rounds:
-                    rows.append((rec["r"], scheme, seed, rec["EE"],
-                                 rec["r"], 0.0, ""))
+        tasks = [(scheme, params, seed)
+                 for seed in seeds for scheme in sweep.schemes]
+        rows = [r for cell in _map(_convergence_rows, tasks, jobs)
+                for r in cell]
     else:
         tasks = []
         for value in sweep.values:
             pt_params, fixed = sweep.apply(params, value)
             for scheme in sweep.schemes:
                 for seed in seeds:
-                    tasks.append((name, value, scheme, seed, pt_params, fixed))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_run_point, tasks))
-        else:
-            rows = [_run_point(t) for t in tasks]
+                    tasks.append((name, value, scheme, seed, pt_params,
+                                  fixed))
+        rows = _map(_run_point, tasks, jobs)
     rows.sort(key=lambda r: (str(r[0]), r[1], r[2]))
     warnings = sum(1 for r in rows if r[6])
 
@@ -220,6 +227,9 @@ def run_experiment(name, params, seeds, out_dir, jobs=1):
         "seeds": list(seeds), "config": cfg, "config_hash": cfg_hash,
         "version": VERSION, "csv": os.path.basename(csv_path),
         "warnings": warnings,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "scipy": importlib.metadata.version("scipy")},
     }
     manifest_path = os.path.join(out_dir, f"{name}.manifest.json")
     with open(manifest_path, "w") as fh:

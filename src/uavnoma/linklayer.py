@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import channel as ch
 from .params import SystemParams
@@ -73,27 +72,41 @@ class EEReport:
         }, indent=2, sort_keys=True)
 
 
-def _null_space_pick(constraints, own):
-    """Unit vector in the null space of `constraints` closest to `own`.
+def _zf_beams(C, H):
+    """Unit beams nulling the other pairs' constraint vectors, batched.
 
-    `constraints` is a (k, M) array of row vectors c with c @ q = 0 required;
-    the returned q maximizes |own^H q| among null-space unit vectors.
+    C and H are (..., N, M). Column n of the returned (..., M, N) beams is
+    orthogonal to C[..., m, :] for every m != n and, among such unit
+    vectors, maximizes |H[..., n, :]^H q|: it is the normalized projection
+    of H_n onto the null space of the others. The second result is that
+    maximum squared, |H_n^H q_n|^2, shape (..., N).
+
+    One batched QR does all pairs: for pair n the others' vectors are the
+    first N - 1 columns and H_n the last, so the last column of Q spans
+    what H_n adds to the others' span and R[-1, -1] is the size of that
+    projection. The phase of R[-1, -1] is moved into the beam so that
+    H_n^H q_n is real and positive. No Gram matrix C C^H is formed: LoS
+    channels that differ only in distance make C ill-conditioned, and
+    squaring its condition number would cost most of the digits.
+
+    Where H_n lies in the others' span (two CC users equidistant from the
+    UAV have identical LoS channels), R[-1, -1] is zero up to rounding and
+    the beam is the last Householder column of Q: a unit vector that is
+    still orthogonal to the others, chosen deterministically by the QR. Its
+    phase is left as it is when R[-1, -1] is exactly zero.
     """
-    if constraints.shape[0] == 0:
-        q = own
-    else:
-        ns = scipy.linalg.null_space(constraints)
-        if ns.shape[1] == 0:
-            raise np.linalg.LinAlgError("empty null space: channels are rank deficient")
-        q = ns @ (ns.conj().T @ own)
-        if np.linalg.norm(q) < 1e-14:
-            # own channel lies in the span of the constraints (near-parallel
-            # geometry); any null-space direction is admissible
-            q = ns[:, 0]
-    nrm = np.linalg.norm(q)
-    if nrm < 1e-14:
-        raise np.linalg.LinAlgError("own channel is orthogonal to the null space")
-    return q / nrm
+    N, M = C.shape[-2:]
+    if N > M:
+        raise np.linalg.LinAlgError(
+            "empty null space: channels are rank deficient")
+    order = np.array([[m for m in range(N) if m != n] + [n] for n in range(N)])
+    A = C[..., order, :]             # (..., N, N, M): A[..., n, j] = C[order[n, j]]
+    A[..., -1, :] = H
+    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
+    r = R[..., -1, -1]
+    phase = np.where(r == 0, 1.0, r)
+    beams = Q[..., -1] * (phase / np.abs(phase))[..., None]   # (..., N, M)
+    return np.swapaxes(beams, -1, -2), np.abs(r) ** 2
 
 
 def zf_precoders(cc_channels) -> Precoder:
@@ -103,48 +116,46 @@ def zf_precoders(cc_channels) -> Precoder:
     used, which maximizes the own effective gain. For N = 1 the constraint
     is vacuous and the matched filter results.
     """
-    N = len(cc_channels)
-    M = cc_channels[0].h.shape[0]
     H = np.stack([cv.h for cv in cc_channels])  # N x M
-    cols = np.empty((M, N), dtype=complex)
-    for n in range(N):
-        others = np.delete(H, n, axis=0).conj()
-        cols[:, n] = _null_space_pick(others, H[n])
-    return Precoder(columns=cols)
+    return Precoder(columns=_zf_beams(H, H)[0])
 
 
 def ce_combiners(ce_channels, precoder: Precoder) -> CombinerSet:
     """Receive combiners nulling the inter-pair interference at CE users."""
-    N = len(ce_channels)
-    M = ce_channels[0].h.shape[0]
+    H = np.stack([cv.h for cv in ce_channels])  # N x M
     # g_{m,2} = h_{m,2} h_{m,2}^H q_m
-    G = np.stack([cv.h * (cv.h.conj() @ precoder.columns[:, m])
-                  for m, cv in enumerate(ce_channels)])  # N x M
-    v = np.empty((M, N), dtype=complex)
-    w_ce = np.empty(N, dtype=complex)
-    for n in range(N):
-        others = np.delete(G, n, axis=0).conj()
-        v[:, n] = _null_space_pick(others, ce_channels[n].h)
-        w_ce[n] = ce_channels[n].h.conj() @ v[:, n]
-    return CombinerSet(v_ce=v, w_ce=w_ce)
+    G = H * np.sum(H.conj() * precoder.columns.T, axis=-1)[:, None]
+    v, _ = _zf_beams(G, H)
+    return CombinerSet(v_ce=v, w_ce=np.sum(H.conj() * v.T, axis=-1))
+
+
+def link_gains(scenario: Scenario, xy):
+    """ZF link quantities at K UAV positions `xy` (K x 2) at altitude h.
+
+    Returns (g_cc, g_ce, q, beacon_gain): the effective CC and CE gains
+    |h_{n,k}^H q_n|^2 (K x N), the unit ZF precoder columns q (K x M x N;
+    |q|^2 are the antenna loads) and the harvesting gain M^2 beta_PU (K).
+    Row k of a batch equals the call with position k alone, bit for bit.
+    """
+    params = scenario.params
+    xy = np.asarray(xy, float).reshape(-1, 2)
+    uav = np.concatenate([xy, np.full((len(xy), 1), params.h)], axis=1)
+    by_id = {u.id: u for u in scenario.users}
+    users = np.array([by_id[p.cc].pos for p in scenario.pairs]
+                     + [by_id[p.ce].pos for p in scenario.pairs])  # 2N x 3
+    H = ch.los_channels(uav[:, None, :], users, params).h       # K x 2N x M
+    H_cc, H_ce = H[:, :params.N], H[:, params.N:]
+    q, g_cc = _zf_beams(H_cc, H_cc)
+    g_ce = np.abs(np.sum(H_ce.conj() * np.swapaxes(q, -1, -2), axis=-1)) ** 2
+    return g_cc, g_ce, q, ch.beacon_link(uav, params).gain
 
 
 def build_link_state(scenario: Scenario) -> LinkState:
     """ZF gains, antenna loads and beacon gain at the scenario's UAV position."""
-    params = scenario.params
-    uav = (scenario.uav_xy[0], scenario.uav_xy[1], params.h)
-    by_id = {u.id: u for u in scenario.users}
-    cc = [ch.user_channel(uav, by_id[p.cc], params) for p in scenario.pairs]
-    ce = [ch.user_channel(uav, by_id[p.ce], params) for p in scenario.pairs]
-    prec = zf_precoders(cc)
-    g1 = np.abs(np.array([cc[n].h.conj() @ prec.columns[:, n]
-                          for n in range(params.N)])) ** 2
-    g2 = np.abs(np.array([ce[n].h.conj() @ prec.columns[:, n]
-                          for n in range(params.N)])) ** 2
+    g_cc, g_ce, q, beacon_gain = link_gains(scenario, scenario.uav_xy)
     return LinkState(
-        eff_gain_cc=g1, eff_gain_ce=g2, precoder=prec,
-        beacon_gain=ch.beacon_link(uav, params).gain,
-        antenna_loads=np.abs(prec.columns) ** 2,
+        eff_gain_cc=g_cc[0], eff_gain_ce=g_ce[0], precoder=Precoder(q[0]),
+        beacon_gain=float(beacon_gain[0]), antenna_loads=np.abs(q[0]) ** 2,
     )
 
 
@@ -205,6 +216,19 @@ def exact_rates(p, alpha_cc, g_cc, g_ce, params: SystemParams,
         return (0.5 * B * np.log2(1.0 + p * g_cc),
                 0.5 * B * np.log2(1.0 + p * g_ce))
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def cycle_ee(p, alpha_cc, tau, g_cc, g_ce, beacon_gain, params: SystemParams,
+             scheme="noma", fixed_P_T=None):
+    """EE = R_sum / E_sum of one cycle, bit/J/Hz.
+
+    The gains (..., N) and the beacon gain (...) may carry leading axes,
+    one EE per leading index, such as the K positions of link_gains.
+    """
+    r_cc, r_ce = exact_rates(p, alpha_cc, g_cc, g_ce, params, scheme)
+    R_sum = (params.T - tau) * np.sum(r_cc + r_ce, axis=-1)
+    P_T = tx_budget(tau, beacon_gain, params, fixed_P_T)
+    return R_sum / cycle_energy(tau, P_T, static_power(params), params)
 
 
 def constraint_flags(scenario: Scenario, link: LinkState, alloc: Allocation,

@@ -36,6 +36,7 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert manifest["seeds"] == [0, 1]
     assert manifest["csv"] == "fig10_tau.csv"
     assert len(manifest["config_hash"]) == 64
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
     header = csv_path.read_text().splitlines()[0]
     assert header == "tau,scheme,seed,EE,rounds,wall_ms,error"
 
@@ -125,6 +126,27 @@ def test_jobs_flag_deterministic(tmp_path):
     a = read_without_timing(tmp_path / "serial" / "fig10_tau.csv")
     b = read_without_timing(tmp_path / "par" / "fig10_tau.csv")
     assert a == b
+
+
+@pytest.mark.parametrize("experiment", ["fig8_convergence",
+                                        "fig11_placement_heatmap"])
+def test_jobs_flag_deterministic_per_cell_sweeps(tmp_path, monkeypatch,
+                                                 experiment):
+    pools = []
+    executor = cli.ProcessPoolExecutor
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    args = ["run", "--experiment", experiment, "--seeds", "2"] + FAST
+    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "par"),
+                            "--jobs", "2"]) == 0
+    assert pools == [2]
+    a = read_without_timing(tmp_path / "serial" / f"{experiment}.csv")
+    b = read_without_timing(tmp_path / "par" / f"{experiment}.csv")
+    assert a == b and len(a.splitlines()) > 2
 
 
 def test_convergence_sweep_writes_error_rows(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavnoma import channel as ch
 from uavnoma import linklayer as ll
@@ -268,3 +270,72 @@ def test_ee_defined_once(case):
                                                                grid_spec=spec)
     assert ll.build_report(best_scn, best_alloc).EE == pytest.approx(
         ee_es, rel=1e-12)
+
+
+# -- the batched ZF kernel ---------------------------------------------------
+
+def null_space_reference(scn, xy):
+    """Per-position ZF quantities from scipy's SVD null space, one by one."""
+    import scipy.linalg
+    params = scn.params
+    uav = (xy[0], xy[1], params.h)
+    by_id = {u.id: u for u in scn.users}
+    H_cc = np.stack([ch.user_channel(uav, by_id[p.cc], params).h
+                     for p in scn.pairs])
+    H_ce = np.stack([ch.user_channel(uav, by_id[p.ce], params).h
+                     for p in scn.pairs])
+    q = np.empty((params.M, params.N), complex)
+    for n in range(params.N):
+        own = H_cc[n]
+        if params.N > 1:
+            ns = scipy.linalg.null_space(np.delete(H_cc, n, axis=0).conj())
+            own = ns @ (ns.conj().T @ own)
+        q[:, n] = own / np.linalg.norm(own)
+    g_cc = np.abs(np.sum(H_cc.conj() * q.T, axis=1)) ** 2
+    g_ce = np.abs(np.sum(H_ce.conj() * q.T, axis=1)) ** 2
+    d_pu = np.hypot(np.hypot(xy[0] - params.beacon_xy[0],
+                             xy[1] - params.beacon_xy[1]), params.h)
+    beacon = params.M ** 2 * params.beta0 * d_pu ** (-params.beta)
+    return (g_cc, g_ce, np.abs(q) ** 2, beacon, np.linalg.cond(H_cc),
+            np.sum(np.abs(H_ce) ** 2, axis=1))
+
+
+@given(N=st.integers(1, 4), extra=st.integers(0, 6),
+       seed=st.integers(0, 10 ** 6),
+       xy=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                   min_size=1, max_size=5),
+       above_user=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_link_gains_match_null_space_reference(N, extra, seed, xy,
+                                               above_user):
+    """Gains, loads and beacon gain against an SVD null-space reference.
+
+    Compared where cond(H_cc) <= 1e6, since beyond that the reference is
+    itself only good to about eps * cond. A CE gain is a projection that
+    can be much smaller than its channel's own gain |h_ce|^2, so its error
+    is bounded relative to that. Row k of a batch equals the K = 1 call.
+    """
+    params = SystemParams(N=N, M=N + extra, R_min=0.0)
+    scn = make_scenario(seed, params)
+    xy = np.array(xy)
+    if above_user:
+        xy[0] = scn.users[0].pos[:2]
+    batch = ll.link_gains(scn, xy)
+    for k in range(len(xy)):
+        single = ll.link_gains(scn, xy[k])
+        for a, b in zip(batch, single):
+            assert np.array_equal(a[k], b[0])
+        g_cc, g_ce, loads, beacon, cond, ce_norm2 = null_space_reference(
+            scn, xy[k])
+        assert batch[3][k] == pytest.approx(beacon, rel=1e-9)
+        if cond > 1e6:
+            continue
+        assert batch[0][k] == pytest.approx(g_cc, rel=1e-9)
+        assert np.all(np.abs(batch[1][k] - g_ce) <= 1e-9 * ce_norm2)
+        assert np.abs(batch[2][k]) ** 2 == pytest.approx(loads, abs=1e-9)
+
+
+def test_zf_empty_null_space_raises():
+    rng = np.random.Generator(np.random.PCG64(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        ll.zf_precoders(rand_channels(rng, 2, 3))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from uavnoma import channel as ch
 from uavnoma import placement as pl
-from uavnoma.linklayer import Allocation
+from uavnoma.linklayer import ZF_TOL, Allocation, link_gains
 from uavnoma.params import SystemParams
 from uavnoma.scenario import GroundUser, Scenario, UserPair, make_scenario
 
@@ -105,3 +106,77 @@ def test_csv_trace():
     rows = list(pl.trace_to_csv_rows(res))
     assert rows[0] == "omega,x0,y0,EE"
     assert len(rows) == len(res.trace) + 1
+
+
+def test_link_gains_rank_deficient_at_mirror_origin():
+    """Identical CC channels: the QR beam is finite, admissible, repeatable."""
+    scn, _ = mirror_instance()
+    params = scn.params
+    g_cc, g_ce, q, beacon = link_gains(scn, scn.uav_xy)
+    for a in (g_cc, g_ce, q, beacon):
+        assert np.all(np.isfinite(a))
+    q = q[0]
+    assert np.allclose(np.linalg.norm(q, axis=0), 1.0, atol=1e-12)
+    uav = (*scn.uav_xy, params.h)
+    by_id = {u.id: u for u in scn.users}
+    H_cc = [ch.user_channel(uav, by_id[p.cc], params).h for p in scn.pairs]
+    assert np.array_equal(H_cc[0], H_cc[1])
+    for n in range(params.N):
+        for m in range(params.N):
+            if m != n:
+                assert abs(np.vdot(H_cc[m], q[:, n])) <= ZF_TOL
+    again = link_gains(scn, scn.uav_xy)
+    for a, b in zip((g_cc, g_ce, q, beacon), again):
+        assert np.array_equal(np.squeeze(a), np.squeeze(b))
+
+
+def scalar_only(f, calls):
+    """The same objective, evaluated one position per call."""
+    def g(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        calls.append(x.size)
+        out = np.array([f(float(a), float(b))
+                        for a, b in zip(x.ravel(), y.ravel())])
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+    return g
+
+
+def test_batched_evaluation_matches_one_by_one():
+    """Batching the ladder and the Armijo halvings only regroups calls."""
+    scn, alloc, params = small_instance(seed=2)
+    f = pl.ee_of_position(scn, alloc)
+    calls = []
+    g = scalar_only(f, calls)
+    assert np.array_equal(pl.fd_gradient(f, 3.0, -2.0),
+                          pl.fd_gradient(g, 3.0, -2.0))
+    a = pl.maximize_over_box(f, (20.0, 10.0), params.box, eps=1e-9,
+                             max_iter=60)
+    b = pl.maximize_over_box(g, (20.0, 10.0), params.box, eps=1e-9,
+                             max_iter=60)
+    assert (a.xy, a.ee, a.converged) == (b.xy, b.ee, b.converged)
+    assert a.trace == b.trace and len(a.trace) > 2
+    assert max(calls) > 1    # the batched path ran
+
+
+@pytest.mark.parametrize("half", [20.0, 80.0])
+def test_params_box_other_than_scenario_box(half, monkeypatch):
+    """Placement searches params.box within the scenario's box only.
+
+    On this drop the ascent runs into both boxes' edges.
+    """
+    scn, alloc, _ = small_instance(seed=5)
+    params = scn.params.replace(box=(-half, half, -half, half))
+    lo, hi = max(-half, -50.0), min(half, 50.0)
+    probes = []
+    kernel = pl.link_gains
+
+    def spy(scenario, xy):
+        probes.append(np.asarray(xy, float).reshape(-1, 2))
+        return kernel(scenario, xy)
+    monkeypatch.setattr(pl, "link_gains", spy)
+    res = pl.run_algorithm3(scn, alloc, params, grid_init=11)
+    seen = np.concatenate(probes)
+    assert np.all((seen >= lo) & (seen <= hi))
+    assert lo <= res.xy[0] <= hi and lo <= res.xy[1] <= hi
+    moved = scn.with_uav(*res.xy)   # inside the scenario's box
+    assert res.ee == pl.ee_of_position(moved, alloc)(*res.xy)
