@@ -8,7 +8,6 @@ construction.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,14 +62,13 @@ def _make_problem(link, alpha_cc, alpha_ce, params, scheme, fixed_P_T):
 
 def _polish_alpha(problem, p, tau, alpha_cc):
     """Per-pair 1-D EE refinement of the intra-pair split (NOMA ordering kept)."""
+    energy = problem.energy(tau)   # the split moves only the rates
     out = alpha_cc.copy()
     for n in range(out.size):
         def ee_of(a, n=n):
             trial = out.copy()
             trial[n] = a
-            return dataclasses.replace(
-                problem, alpha_cc=trial,
-                alpha_ce=1.0 - trial).exact_objective(p, tau)
+            return problem.rate_sum(p, tau, alpha_cc=trial) / energy
         out[n] = game_mod.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
     return out
 
@@ -119,7 +117,9 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     link = build_link_state(scn)
     rounds_cap = max_rounds or prm.iters.rounds
     counters = {"game_iterations": 0, "sca_outer": 0, "sca_inner": 0,
-                "placement_iterations": 0, "rounds": 0}
+                "sca_stalled": 0, "sca_inner_capped": 0,
+                "sca_proj_unconverged": 0, "placement_iterations": 0,
+                "rounds": 0}
 
     def feasible(scn, link, p, a_cc, a_ce, tau):
         """Whether a candidate meets C1-C8; every accept guard asks this."""
@@ -201,6 +201,9 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                                         fixed_P_T)
         counters["sca_outer"] += len(res2.trace) - 1
         counters["sca_inner"] += res2.inner_iterations
+        counters["sca_stalled"] += res2.stops["stall"]
+        counters["sca_inner_capped"] += res2.stops["capped"]
+        counters["sca_proj_unconverged"] += res2.proj_unconverged
         if (res2.objective >= ee - EE_SLACK
                 and feasible(scn, link, res2.p, alpha_cc, alpha_ce, res2.tau)):
             p, tau, ee = res2.p, res2.tau, res2.objective
@@ -223,7 +226,7 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                 # powers must be re-projected before the move is judged
                 try:
                     p_min3 = sca_mod.combined_lower_bounds(new_problem)
-                    p_new = sca_mod.project_powers(
+                    p_new, _ = sca_mod.project_powers(
                         p, p_min3, new_problem.budget(tau),
                         new_problem.antenna_loads, prm.P_iota)
                     ee_new = new_problem.exact_objective(p_new, tau)

@@ -168,12 +168,18 @@ def tx_budget(tau, beacon_gain, params: SystemParams, fixed_P_T=None):
     """UAV transmit power budget P_T, W.
 
     A battery-supplied UAV has fixed_P_T; otherwise the beacon power
-    harvested during tau is spent over the transmit phase T - tau.
+    harvested during tau is spent over the transmit phase T - tau. tau may
+    be an array, one harvested budget per element.
     """
     if fixed_P_T is not None:
         return fixed_P_T
-    if not 0.0 <= tau < params.T:
-        raise ValueError(f"tau={tau} must lie in [0, T={params.T})")
+    if isinstance(tau, float):
+        if not 0.0 <= tau < params.T:
+            raise ValueError(f"tau={tau} must lie in [0, T={params.T})")
+    else:
+        tau = np.asarray(tau, float)
+        if not np.all((0.0 <= tau) & (tau < params.T)):
+            raise ValueError(f"tau={tau} must lie in [0, T={params.T})")
     return tau * beacon_gain * params.P_beacon * params.xi / (params.T - tau)
 
 

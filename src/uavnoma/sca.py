@@ -19,10 +19,19 @@ LN2 = np.log(2.0)
 TAU_GUARD = 1e-6       # keep tau away from the P_T singularity at tau = T
 PROJ_ROUNDS = 100
 PROJ_TOL = 1e-10
+BACKTRACK_BLOCK = 8    # backtracking steps projected and evaluated per call
+BACKTRACK_STEPS = 40   # halvings tried before an inner step gives up
+STALL_STEPS = 20       # accepted steps in a row that leave the surrogate as is
+STOP_REASONS = ("stationary", "no_ascent", "stall", "capped")
 
 
 class InfeasibleAllocation(RuntimeError):
     """A rate constraint cannot be met at the current coefficients."""
+
+
+def _scalar(x):
+    """A 0-d result as a float; a batch of results as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass
@@ -71,26 +80,31 @@ class ScaProblem:
         return self.c_tau + T * self.G * T / (T - tau) ** 2
 
     # -- objectives ---------------------------------------------------------
+    # p may be (K, N) with tau (K,): one value per row, each equal to the
+    # call with that row alone; a single point gives a float.
 
-    def rate_sum(self, p, tau) -> float:
-        r_cc, r_ce = ll.exact_rates(p, self.alpha_cc, self.g1, self.g2,
-                                    self.params, self.mode)
-        return float((self.params.T - tau) * np.sum(r_cc + r_ce))
+    def rate_sum(self, p, tau, alpha_cc=None):
+        """(T - tau) times the sum rate; alpha_cc overrides the problem's."""
+        a = self.alpha_cc if alpha_cc is None else alpha_cc
+        r_cc, r_ce = ll.exact_rates(p, a, self.g1, self.g2, self.params,
+                                    self.mode)
+        return _scalar((self.params.T - tau) * np.sum(r_cc + r_ce, axis=-1))
 
-    def exact_objective(self, p, tau) -> float:
+    def exact_objective(self, p, tau):
         return self.rate_sum(p, tau) / self.energy(tau)
 
-    def surrogate_objective(self, p, tau, p_ref, tau_ref) -> float:
+    def surrogate_objective(self, p, tau, p_ref, tau_ref):
         prm = self.params
         if self.mode == "oma":
             return self.exact_objective(p, tau)
         pos = (prm.T - tau) * prm.B * np.sum(
             np.log2(1.0 + self.alpha_cc * p * self.g1)
-            + np.log2(1.0 + p * self.g2))
+            + np.log2(1.0 + p * self.g2), axis=-1)
         c = self.alpha_cc * self.g2 / (LN2 * (1.0 + self.alpha_cc * p_ref * self.g2))
         neg = (prm.T - tau_ref) * prm.B * np.sum(
-            np.log2(1.0 + self.alpha_cc * p_ref * self.g2) + c * (p - p_ref))
-        return float((pos - neg) / self.energy(tau))
+            np.log2(1.0 + self.alpha_cc * p_ref * self.g2) + c * (p - p_ref),
+            axis=-1)
+        return _scalar((pos - neg) / self.energy(tau))
 
     def surrogate_gradient(self, p, tau, p_ref, tau_ref):
         prm = self.params
@@ -185,83 +199,164 @@ def tau_bounds(problem: ScaProblem, p_min):
 
 
 def _cap_simplex(q, cap):
-    """Exact projection of q onto {q >= 0, sum q <= cap} (sort-based)."""
+    """Exact projection of each row of q onto {q >= 0, sum q <= cap}.
+
+    q is (K, N) and cap (K,) >= 0; sort-based, row by row in one pass.
+    """
     q = np.maximum(q, 0.0)
-    s = q.sum()
-    if s <= cap:
+    fit = q.sum(axis=-1) <= cap
+    if fit.all():
         return q
-    if cap <= 0.0:
-        return np.zeros_like(q)
-    u = np.sort(q)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, u.size + 1)
-    mask = u - (css - cap) / ks > 0.0
-    k = int(ks[mask][-1])
-    theta = (css[k - 1] - cap) / k
-    return np.maximum(q - theta, 0.0)
+    over = np.flatnonzero(~fit)
+    c = cap[over]
+    u = np.sort(q[over], axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1)
+    ks = np.arange(1, u.shape[-1] + 1)
+    mask = u - (css - c[:, None]) / ks > 0.0
+    k = ks[-1] - np.argmax(mask[:, ::-1], axis=-1)     # last True, 1-based
+    theta = (css[np.arange(over.size), k - 1] - c) / k
+    rows = np.maximum(q[over] - theta[:, None], 0.0)
+    rows[c <= 0.0] = 0.0
+    q[over] = rows
+    return q
 
 
 def project_powers(p, p_min, cap, loads, P_iota):
     """Cyclic projection onto {p >= p_min, sum p <= cap, loads @ p <= P_iota}.
 
-    The lower bounds and the budget are handled by one exact projection
-    (shift to q = p - p_min); the per-antenna rows are folded in by a short
-    alternating pass, which converges fast since the caps are rarely tight.
+    p is one point (N,) or a batch (K, N) with caps cap, a scalar or (K,);
+    row k of a batch equals the call with row k alone, bit for bit. The
+    lower bounds and the budget are handled by one exact projection
+    (shift to q = p - p_min); the per-antenna rows are folded in by an
+    alternating pass that corrects the most violated row, and a row stops
+    being updated once no row is violated by more than PROJ_TOL. Where the
+    caps are tight against the budget this pass can zigzag for all
+    PROJ_ROUNDS rounds and leave an antenna above its cap.
+
+    Returns the projected powers, shaped like p, and whether each row
+    converged (a bool for one point, (K,) for a batch).
     """
+    p = np.asarray(p, float)
     p_min = np.asarray(p_min, float)
-    head = float(cap - p_min.sum())
-    q = np.asarray(p, float) - p_min
     loads = np.asarray(loads, float)
+    q = np.atleast_2d(p) - p_min
+    K = q.shape[0]
+    head = np.maximum(np.broadcast_to(cap - p_min.sum(), (K,)), 0.0)
     slack = P_iota - loads @ p_min
+    norms = None
+    converged = np.zeros(K, bool)
+    live, ql, hl = np.arange(K), q, head    # the rows still being updated
     for _ in range(PROJ_ROUNDS):
-        q = _cap_simplex(q, max(head, 0.0))
-        v = loads @ q - slack
-        k = int(np.argmax(v))
-        if v[k] <= PROJ_TOL:
-            break
-        a = loads[k]
-        q = np.maximum(q - a * (v[k] / (a @ a)), 0.0)
-    return q + p_min
+        ql = _cap_simplex(ql, hl)
+        # per-row matrix-vector products, so a row's bits do not depend on K
+        v = np.matmul(loads, ql[:, :, None])[..., 0] - slack
+        k = np.argmax(v, axis=-1)
+        vk = v.max(axis=-1)
+        go = ~(vk <= PROJ_TOL)
+        if not go.all():
+            q[live] = ql
+            converged[live[~go]] = True
+            if not go.any():
+                break
+            live, ql, hl, k, vk = live[go], ql[go], hl[go], k[go], vk[go]
+        if norms is None:
+            norms = np.matmul(loads[:, None, :], loads[:, :, None])[:, 0, 0]
+        ql = np.maximum(ql - loads[k] * (vk / norms[k])[:, None], 0.0)
+    else:
+        q[live] = ql
+    out = q + p_min
+    if p.ndim == 1:
+        return out[0], bool(converged[0])
+    return out, converged
+
+
+def floors_fit_caps(problem: ScaProblem, p_min) -> bool:
+    """Whether the rate floors alone meet the per-antenna caps.
+
+    Only then can every projection converge; otherwise none does, and the
+    scans must not discard their candidates for it.
+    """
+    v = problem.antenna_loads @ p_min - problem.params.P_iota
+    return bool(np.all(v <= PROJ_TOL))
+
+
+@dataclass
+class SubproblemStats:
+    iterations: int
+    stop: str            # one of STOP_REASONS
+    unconverged: int     # projected points read that did not converge
 
 
 def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
                      grad_tol=1e-7, max_iter=None):
-    """Maximize the surrogate by projected gradient ascent with backtracking."""
+    """Maximize the surrogate by projected gradient ascent with backtracking.
+
+    Each step projects the unit probe of the stationarity test and a block
+    of BACKTRACK_BLOCK halvings step * 2^-j in one call and takes the first
+    halving that passes the ascent test, the one the sequential halving
+    loop would take; at most BACKTRACK_STEPS halvings are tried. The ascent
+    stops at stationarity, when no halving ascends, after STALL_STEPS
+    accepted steps in a row that leave the surrogate unchanged (the
+    iterate then only drifts by rounding along the budget-tight boundary,
+    where the unit probe never reads stationary), or at max_iter.
+
+    Returns (p, tau, SubproblemStats).
+    """
     prm = problem.params
     if max_iter is None:
         max_iter = prm.iters.inner
 
     def project(p, tau):
-        tau = float(np.clip(tau, tau_lo, tau_hi))
-        cap = problem.budget(tau)
-        p = project_powers(p, p_min, cap, problem.antenna_loads, prm.P_iota)
-        return p, tau
+        tau = np.clip(tau, tau_lo, tau_hi)
+        p, ok = project_powers(p, p_min, problem.budget(tau),
+                               problem.antenna_loads, prm.P_iota)
+        return p, tau, ok
 
-    p, tau = project(np.asarray(p_ref, float).copy(), tau_ref)
+    p, tau, ok = project(np.asarray(p_ref, float), float(tau_ref))
+    tau = float(tau)
+    unconverged = int(not ok)
     val = problem.surrogate_objective(p, tau, p_ref, tau_ref)
     step = 1.0
+    stalled = 0
+    stop = "capped"
     iters = 0
     for iters in range(1, max_iter + 1):
         gp, gt = problem.surrogate_gradient(p, tau, p_ref, tau_ref)
-        # projected-gradient stationarity test at a unit probe step
-        p_probe, tau_probe = project(p + gp, tau + gt)
-        pg_norm = np.sqrt(np.sum((p_probe - p) ** 2) + (tau_probe - tau) ** 2)
-        if pg_norm < grad_tol:
-            break
-        improved = False
-        for _ in range(40):
-            p_new, tau_new = project(p + step * gp, tau + step * gt)
-            val_new = problem.surrogate_objective(p_new, tau_new, p_ref, tau_ref)
-            move = np.sum(gp * (p_new - p)) + gt * (tau_new - tau)
-            if val_new >= val + 1e-4 * max(move, 0.0) and val_new >= val:
-                p, tau, val = p_new, tau_new, val_new
-                step = min(step * 1.5, 1e6)
-                improved = True
+        accepted = None
+        for tried in range(0, BACKTRACK_STEPS, BACKTRACK_BLOCK):
+            steps = np.cumprod(np.r_[step, np.full(BACKTRACK_BLOCK - 1, 0.5)])
+            probe = tried == 0     # the unit probe leads the first block
+            s = np.r_[1.0, steps] if probe else steps
+            P, taus, ok = project(p + s[:, None] * gp, tau + s * gt)
+            if probe:
+                # projected-gradient stationarity test at the unit probe
+                unconverged += int(not ok[0])
+                if np.sqrt(np.sum((P[0] - p) ** 2)
+                           + (taus[0] - tau) ** 2) < grad_tol:
+                    stop = "stationary"
+                    break
+                P, taus, ok = P[1:], taus[1:], ok[1:]
+            vals = problem.surrogate_objective(P, taus, p_ref, tau_ref)
+            move = np.sum(gp * (P - p), axis=-1) + gt * (taus - tau)
+            good = np.flatnonzero((vals >= val + 1e-4 * np.maximum(move, 0.0))
+                                  & (vals >= val))
+            read = good[0] + 1 if good.size else steps.size
+            unconverged += int(np.sum(~ok[:read]))
+            if good.size:
+                accepted = good[0]
                 break
-            step *= 0.5
-        if not improved:
+            step = steps[-1] * 0.5
+        else:
+            stop = "no_ascent"
+        if accepted is None:
             break
-    return p, tau, iters
+        stalled = stalled + 1 if vals[accepted] == val else 0
+        p, tau, val = P[accepted], float(taus[accepted]), float(vals[accepted])
+        step = min(steps[accepted] * 1.5, 1e6)
+        if stalled >= STALL_STEPS:
+            stop = "stall"
+            break
+    return p, tau, SubproblemStats(iters, stop, unconverged)
 
 
 @dataclass
@@ -272,6 +367,9 @@ class ScaResult:
     converged: bool
     trace: list = field(default_factory=list)   # (j, tau, p..., exact, surrogate)
     inner_iterations: int = 0
+    stops: dict = field(                        # subproblems per STOP_REASONS
+        default_factory=lambda: dict.fromkeys(STOP_REASONS, 0))
+    proj_unconverged: int = 0   # scan and ascent points left above a cap
 
 
 def initial_point(problem: ScaProblem, p_min, tau_lo, tau_hi):
@@ -283,7 +381,7 @@ def initial_point(problem: ScaProblem, p_min, tau_lo, tau_hi):
         tau0 = float(np.clip(tau0, tau_lo, tau_hi))
     cap = problem.budget(tau0)
     p0 = np.full(prm.N, cap / prm.N)
-    p0 = project_powers(p0, p_min, cap, problem.antenna_loads, prm.P_iota)
+    p0, _ = project_powers(p0, p_min, cap, problem.antenna_loads, prm.P_iota)
     return p0, tau0
 
 
@@ -298,28 +396,38 @@ def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     harvest time with a correspondingly larger budget can beat a small one.
     Gradient ascent cannot cross the valleys in between, so the start is
     chosen by screening equal and per-pair concentrated splits over a
-    coarse harvest-time grid.
+    coarse harvest-time grid, all in one projection and one objective call.
+    Candidates whose projection did not converge are skipped when the
+    floors alone fit the antenna caps.
+
+    Returns (p, tau, number of unconverged candidates).
     """
     prm = problem.params
-    best = (p, tau, problem.exact_objective(p, tau))
+    N = prm.N
     if problem.fixed_P_T is None and tau_hi > tau_lo:
         taus = np.linspace(max(tau_lo, 1e-3 * prm.T), tau_hi, SCREEN_TAUS)
     else:
-        taus = [tau]
-    for t in taus:
-        cap = problem.budget(t)
-        head = cap - float(np.sum(p_min))
-        if head <= 0.0:
-            continue
-        splits = [np.full(prm.N, head / prm.N)]
-        splits.extend(head * row for row in np.eye(prm.N))
-        for extra in splits:
-            cand = project_powers(p_min + extra, p_min, cap,
-                                  problem.antenna_loads, prm.P_iota)
-            val = problem.exact_objective(cand, t)
-            if val > best[2]:
-                best = (cand, t, val)
-    return best[0], best[1]
+        taus = np.array([tau])
+    caps = np.broadcast_to(problem.budget(taus), taus.shape)
+    heads = caps - float(np.sum(p_min))
+    use = heads > 0.0
+    if not use.any():
+        return p, tau, 0
+    taus, caps, heads = taus[use], caps[use], heads[use]
+    # per harvest time: the equal split, then all of the head on each pair
+    extra = np.concatenate([np.repeat((heads / N)[:, None, None], N, axis=2),
+                            heads[:, None, None] * np.eye(N)], axis=1)
+    cands, ok = project_powers((p_min + extra).reshape(-1, N), p_min,
+                               np.repeat(caps, N + 1), problem.antenna_loads,
+                               prm.P_iota)
+    t_rows = np.repeat(taus, N + 1)
+    vals = problem.exact_objective(cands, t_rows)
+    if floors_fit_caps(problem, p_min):
+        vals = np.where(ok, vals, -np.inf)
+    k = int(np.argmax(vals))
+    if vals[k] > problem.exact_objective(p, tau):
+        p, tau = cands[k], t_rows[k]
+    return p, tau, int(np.sum(~ok))
 
 
 def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
@@ -327,34 +435,53 @@ def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
 
     Gradient ascent stalls on the curve p = budget(tau): raising tau at
     fixed p lowers the EE even when raising tau and p together raises it.
-    The refinement rescales p with the budget, scans a coarse tau grid and
-    golden-sections the best bracket.
+    The refinement rescales p with the budget, scans a coarse tau grid in
+    one projection and one objective call, and golden-sections the best
+    bracket. Grid points whose projection did not converge are passed
+    over when the floors alone fit the antenna caps, and so is such a
+    refined point, in favour of the best grid point.
+
+    Returns (p, tau, number of unconverged projections read).
     """
     from .game import best_response
 
     if problem.fixed_P_T is not None or tau_hi <= tau_lo:
-        return p, tau
+        return p, tau, 0
+    prm = problem.params
     cap0 = problem.budget(tau)
+    fit = floors_fit_caps(problem, p_min)
+    missed = 0
 
     def at(t):
+        nonlocal missed
         cap = problem.budget(t)
         scale = cap / cap0 if cap0 > 0.0 else 1.0
-        cand = project_powers(p * scale, p_min, cap, problem.antenna_loads,
-                              problem.params.P_iota)
-        return problem.exact_objective(cand, t), cand
+        cand, ok = project_powers(p * scale, p_min, cap,
+                                  problem.antenna_loads, prm.P_iota)
+        missed += not ok
+        return problem.exact_objective(cand, t), cand, ok
 
     grid = np.linspace(tau_lo, tau_hi, 33)
-    vals = [at(t)[0] for t in grid]
+    caps = problem.budget(grid)
+    scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
+    cands, ok = project_powers(p * scales[:, None], p_min, caps,
+                               problem.antenna_loads, prm.P_iota)
+    missed += int(np.sum(~ok))
+    vals = problem.exact_objective(cands, grid)
+    if fit:
+        vals = np.where(ok, vals, -np.inf)
     k = int(np.argmax(vals))
+    if vals[k] == -np.inf:
+        return p, tau, missed
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
     t_best = best_response(lambda t: at(t)[0], lo, hi, tol=1e-8)
-    if at(t_best)[0] < vals[k]:
-        t_best = grid[k]
-    val, cand = at(t_best)
+    val, cand, ok = at(t_best)
+    if val < vals[k] or (fit and not ok):
+        t_best, val, cand = grid[k], vals[k], cands[k]
     if val > problem.exact_objective(p, tau):
-        return cand, float(t_best)
-    return p, tau
+        return cand, float(t_best), missed
+    return p, tau, missed
 
 
 def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
@@ -371,24 +498,28 @@ def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
         p, tau = initial_point(problem, p_min, tau_lo, tau_hi)
     else:
         tau = float(np.clip(tau0, tau_lo, tau_hi))
-        p = project_powers(p0, p_min, problem.budget(tau),
-                           problem.antenna_loads, prm.P_iota)
-    p, tau = _screen_starts(problem, p, tau, p_min, tau_lo, tau_hi)
+        p, _ = project_powers(p0, p_min, problem.budget(tau),
+                              problem.antenna_loads, prm.P_iota)
+    p, tau, missed = _screen_starts(problem, p, tau, p_min, tau_lo, tau_hi)
     F = problem.exact_objective(p, tau)
     trace = [(0, tau, p.copy(), F, F)]
     inner_total = 0
+    stops = dict.fromkeys(STOP_REASONS, 0)
     converged = False
     for j in range(1, prm.iters.J + 1):
-        p_new, tau_new, inner = solve_subproblem(
+        p_new, tau_new, stats = solve_subproblem(
             problem, p, tau, p_min, tau_lo, tau_hi)
-        inner_total += inner
+        inner_total += stats.iterations
+        stops[stats.stop] += 1
+        missed += stats.unconverged
         F_new = problem.exact_objective(p_new, tau_new)
         if F_new - F <= prm.tol.ell_sca:
             # about to settle: refine tau along the budget-tight boundary,
             # which the gradient ascent cannot track on its own
-            p_pol, tau_pol = _polish_tau(problem, *(
+            p_pol, tau_pol, n = _polish_tau(problem, *(
                 (p_new, tau_new) if F_new >= F else (p, tau)),
                 p_min, tau_lo, tau_hi)
+            missed += n
             F_pol = problem.exact_objective(p_pol, tau_pol)
             if F_pol > max(F, F_new):
                 p_new, tau_new, F_new = p_pol, tau_pol, F_pol
@@ -405,7 +536,8 @@ def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
             converged = True
             break
     return ScaResult(p=p, tau=tau, objective=F, converged=converged,
-                     trace=trace, inner_iterations=inner_total)
+                     trace=trace, inner_iterations=inner_total, stops=stops,
+                     proj_unconverged=missed)
 
 
 def trace_to_csv_rows(result: ScaResult):

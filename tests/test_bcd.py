@@ -143,3 +143,28 @@ def test_max_rounds_override():
     res = bcd.run_pipeline(make_scenario(0, params), params=params,
                            max_rounds=1)
     assert res.counters["rounds"] == 1
+
+
+def test_sca_stop_counters_rerun_and_sum_over_rounds(monkeypatch):
+    """The SCA stop counters are deterministic and add up the rounds."""
+    params = SystemParams(N=4, M=8, R_min=0.0)
+    results = []
+    solve = bcd.sca_mod.run_algorithm2
+
+    def record(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bcd.sca_mod, "run_algorithm2", record)
+    first = bcd.run_algorithm4(make_scenario(1, params)).counters
+    rounds = list(results)
+    assert bcd.run_algorithm4(make_scenario(1, params)).counters == first
+    assert len(rounds) == first["rounds"]
+    assert first["sca_stalled"] == sum(r.stops["stall"] for r in rounds)
+    assert first["sca_inner_capped"] == sum(r.stops["capped"] for r in rounds)
+    assert first["sca_proj_unconverged"] == sum(r.proj_unconverged
+                                                for r in rounds)
+    assert first["sca_inner"] == sum(r.inner_iterations for r in rounds)
+    # every outer SCA iteration solves one subproblem, which stops once
+    assert first["sca_outer"] == sum(sum(r.stops.values()) for r in rounds)
+    assert first["sca_stalled"] > 0

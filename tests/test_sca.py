@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavnoma import sca
+from uavnoma import bcd, sca
+from uavnoma import linklayer as ll
 from uavnoma.linklayer import Allocation, build_link_state, build_report
 from uavnoma.params import SystemParams
 from uavnoma.scenario import make_scenario
@@ -143,8 +146,9 @@ def test_gradient_at_expansion_matches_exact_fd():
 def test_project_powers_respects_all_sets():
     rng = np.random.Generator(np.random.PCG64(11))
     loads = rng.uniform(0.0, 0.5, size=(4, 3))
-    p = sca.project_powers(rng.uniform(-1, 10, 3), np.full(3, 0.2), 5.0,
-                           loads, 2.0)
+    p, converged = sca.project_powers(rng.uniform(-1, 10, 3), np.full(3, 0.2),
+                                      5.0, loads, 2.0)
+    assert converged
     assert np.all(p >= 0.2 - 1e-10)
     assert np.sum(p) <= 5.0 + 1e-8
     assert np.all(loads @ p <= 2.0 + 1e-8)
@@ -238,3 +242,204 @@ def test_lower_bounds_zero_gain_infeasible(mode):
     with pytest.raises(sca.InfeasibleAllocation, match="pair 1"):
         sca.rate_lower_bounds([0.3, 0.3], [0.7, 0.7], np.array([1.0, 0.0]),
                               np.array([0.5, 0.0]), p, mode=mode)
+
+
+# -- batched projection, block backtracking, stall stop ----------------------
+
+def one_row_projection(p, p_min, cap, loads, P_iota):
+    """The one-point cyclic projection, round by round, as a reference."""
+    def cap_simplex(q, cap):
+        q = np.maximum(q, 0.0)
+        if q.sum() <= cap:
+            return q
+        if cap <= 0.0:
+            return np.zeros_like(q)
+        u = np.sort(q)[::-1]
+        css = np.cumsum(u)
+        ks = np.arange(1, u.size + 1)
+        k = int(ks[u - (css - cap) / ks > 0.0][-1])
+        return np.maximum(q - (css[k - 1] - cap) / k, 0.0)
+
+    head = max(float(cap - p_min.sum()), 0.0)
+    q = p - p_min
+    slack = P_iota - loads @ p_min
+    for _ in range(sca.PROJ_ROUNDS):
+        q = cap_simplex(q, head)
+        v = loads @ q - slack
+        k = int(np.argmax(v))
+        if v[k] <= sca.PROJ_TOL:
+            return q + p_min, True
+        a = loads[k]
+        q = np.maximum(q - a * (v[k] / (a @ a)), 0.0)
+    return q + p_min, False
+
+
+@given(N=st.integers(1, 5), extra=st.integers(0, 6), K=st.integers(1, 12),
+       seed=st.integers(0, 10 ** 6), tight=st.booleans(),
+       floors=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_batched_projection_rows_equal_single_calls(N, extra, K, seed, tight,
+                                                    floors):
+    """Row k of a batch is the K = 1 call and the one-row reference, bit for
+    bit, and converged rows are feasible.
+
+    Tight caps sit just above what the floors put on the antennas, so the
+    alternating pass sometimes runs out of rounds there (about 1 row in 10).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    M = N + extra
+    loads = rng.uniform(0.0, 1.0, size=(M, N)) ** 2
+    loads /= loads.sum(axis=0)          # unit-norm precoder columns
+    p_min = rng.uniform(0.0, 0.5, size=N) if floors else np.zeros(N)
+    base = float(np.max(loads @ p_min))
+    P_iota = base + (rng.uniform(1e-3, 0.1) if tight else rng.uniform(1.0, 5.0))
+    caps = np.sum(p_min) + rng.uniform(0.0, 6.0, size=K)
+    P = rng.uniform(-1.0, 8.0, size=(K, N))
+    out, converged = sca.project_powers(P, p_min, caps, loads, P_iota)
+    assert out.shape == (K, N) and converged.shape == (K,)
+    for k in range(K):
+        row, ok = sca.project_powers(P[k], p_min, caps[k], loads, P_iota)
+        assert np.array_equal(row, out[k]) and ok == converged[k]
+        ref, ref_ok = one_row_projection(P[k], p_min, caps[k], loads, P_iota)
+        assert np.array_equal(row, ref) and ok == ref_ok
+        if ok:
+            assert np.all(row >= p_min)
+            assert np.sum(row) <= caps[k] * (1.0 + 1e-12)
+            assert np.all(loads @ row <= P_iota + sca.PROJ_TOL + 1e-12)
+
+
+def test_project_powers_scalar_cap_broadcasts():
+    rng = np.random.Generator(np.random.PCG64(3))
+    loads = rng.uniform(0.0, 0.5, size=(5, 3))
+    P = rng.uniform(0.0, 4.0, size=(4, 3))
+    a, ok_a = sca.project_powers(P, np.zeros(3), 2.5, loads, 1.0)
+    b, ok_b = sca.project_powers(P, np.zeros(3), np.full(4, 2.5), loads, 1.0)
+    assert np.array_equal(a, b) and np.array_equal(ok_a, ok_b)
+
+
+def sequential_subproblem(problem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
+                          grad_tol=1e-7, max_iter=400):
+    """The one-step-at-a-time ascent without the stall stop, as a reference."""
+    prm = problem.params
+
+    def project(p, tau):
+        tau = float(np.clip(tau, tau_lo, tau_hi))
+        p, _ = sca.project_powers(p, p_min, problem.budget(tau),
+                                  problem.antenna_loads, prm.P_iota)
+        return p, tau
+
+    p, tau = project(np.asarray(p_ref, float).copy(), tau_ref)
+    val = problem.surrogate_objective(p, tau, p_ref, tau_ref)
+    step = 1.0
+    for _ in range(max_iter):
+        gp, gt = problem.surrogate_gradient(p, tau, p_ref, tau_ref)
+        p_probe, tau_probe = project(p + gp, tau + gt)
+        if np.sqrt(np.sum((p_probe - p) ** 2)
+                   + (tau_probe - tau) ** 2) < grad_tol:
+            break
+        improved = False
+        for _ in range(40):
+            p_new, tau_new = project(p + step * gp, tau + step * gt)
+            val_new = problem.surrogate_objective(p_new, tau_new, p_ref,
+                                                  tau_ref)
+            move = np.sum(gp * (p_new - p)) + gt * (tau_new - tau)
+            if val_new >= val + 1e-4 * max(move, 0.0) and val_new >= val:
+                p, tau, val = p_new, tau_new, val_new
+                step = min(step * 1.5, 1e6)
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return p, tau
+
+
+def drop_subproblems(seeds):
+    """The SCA subproblems run_algorithm4 solves on N=4, M=8 drops."""
+    calls = []
+    solve = sca.solve_subproblem
+
+    def record(problem, p_ref, tau_ref, *args, **kwargs):
+        calls.append((problem, np.array(p_ref), tau_ref) + args)
+        return solve(problem, p_ref, tau_ref, *args, **kwargs)
+
+    params = SystemParams(N=4, M=8, R_min=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sca, "solve_subproblem", record)
+        for seed in seeds:
+            bcd.run_algorithm4(make_scenario(seed, params))
+    return calls
+
+
+def test_subproblem_matches_sequential_ascent():
+    """Block backtracking and the stall stop keep the sequential answer."""
+    calls = drop_subproblems([1, 2, 3])
+    assert len(calls) >= 10
+    stops = set()
+    for problem, p_ref, tau_ref, *box in calls:
+        p, tau, stats = sca.solve_subproblem(problem, p_ref, tau_ref, *box)
+        p_seq, tau_seq = sequential_subproblem(problem, p_ref, tau_ref, *box)
+        stops.add(stats.stop)
+        assert problem.surrogate_objective(p, tau, p_ref, tau_ref) == \
+            pytest.approx(problem.surrogate_objective(p_seq, tau_seq, p_ref,
+                                                      tau_ref), rel=1e-15)
+        assert problem.exact_objective(p, tau) == pytest.approx(
+            problem.exact_objective(p_seq, tau_seq), rel=1e-12)
+    assert "stall" in stops
+
+
+def test_tx_budget_array_equals_scalar_calls():
+    params = SystemParams(N=2, M=4)
+    taus = np.linspace(0.0, params.T * 0.999, 17)
+    batch = ll.tx_budget(taus, 3.7e-4, params)
+    assert np.array_equal(batch, [ll.tx_budget(float(t), 3.7e-4, params)
+                                  for t in taus])
+    for bad in (np.array([0.2, params.T]), np.array([-1e-9, 0.5]),
+                np.array([[0.1, np.nan]])):
+        with pytest.raises(ValueError):
+            ll.tx_budget(bad, 3.7e-4, params)
+
+
+def test_objectives_broadcast_over_rows():
+    problem, _ = make_problem(seed=4)
+    rng = np.random.Generator(np.random.PCG64(13))
+    P = rng.uniform(0.1, 5.0, size=(6, problem.params.N))
+    taus = rng.uniform(0.2, 0.8, size=6)
+    p_ref, tau_ref = P[0], taus[0]
+    exact = problem.exact_objective(P, taus)
+    sur = problem.surrogate_objective(P, taus, p_ref, tau_ref)
+    for k in range(6):
+        assert exact[k] == problem.exact_objective(P[k], taus[k])
+        assert sur[k] == problem.surrogate_objective(P[k], taus[k], p_ref,
+                                                     tau_ref)
+
+
+def test_scans_skip_candidates_above_an_antenna_cap():
+    """Where the floors fit the caps, no scan returns an unconverged point."""
+    params = SystemParams(N=4, M=8, R_min=0.0)
+    skipped = 0
+    for seed in range(1, 7):
+        link = build_link_state(make_scenario(seed, params))
+        a = np.full(params.N, 0.3)
+        problem = sca.ScaProblem.from_link(link, a, 1.0 - a, params)
+        p_min = sca.combined_lower_bounds(problem)
+        tau_lo, tau_hi = sca.tau_bounds(problem, p_min)
+        assert sca.floors_fit_caps(problem, p_min)
+        p0, tau0 = sca.initial_point(problem, p_min, tau_lo, tau_hi)
+        p, tau, n = sca._screen_starts(problem, p0, tau0, p_min, tau_lo,
+                                       tau_hi)
+        skipped += n
+        for q, t in ((p, tau), sca._polish_tau(problem, p, tau, p_min,
+                                               tau_lo, tau_hi)[:2]):
+            _, ok = sca.project_powers(q, p_min, problem.budget(t),
+                                       problem.antenna_loads, params.P_iota)
+            assert ok or (q is p0)
+    assert skipped > 0
+
+
+def test_stop_reasons_count_every_subproblem():
+    problem, _ = make_problem(seed=0, N=4, M=8, R_min=0.0)
+    res = sca.run_algorithm2(problem)
+    assert set(res.stops) == set(sca.STOP_REASONS)
+    assert sum(res.stops.values()) == len(res.trace) - 1
+    assert res.proj_unconverged >= 0
