@@ -16,7 +16,7 @@ from . import game as game_mod
 from . import placement as placement_mod
 from . import sca as sca_mod
 from .linklayer import (Allocation, build_link_state, build_report,
-                        constraint_flags, static_power, tx_budget)
+                        constraint_flags, cycle_ee, static_power, tx_budget)
 from .scenario import Scenario
 
 EE_SLACK = 1e-12   # arithmetic noise allowance in acceptance tests
@@ -62,13 +62,14 @@ def _make_problem(link, alpha_cc, alpha_ce, params, scheme, fixed_P_T):
 
 def _polish_alpha(problem, p, tau, alpha_cc):
     """Per-pair 1-D EE refinement of the intra-pair split (NOMA ordering kept)."""
-    energy = problem.energy(tau)   # the split moves only the rates
     out = alpha_cc.copy()
     for n in range(out.size):
         def ee_of(a, n=n):
             trial = out.copy()
             trial[n] = a
-            return problem.rate_sum(p, tau, alpha_cc=trial) / energy
+            return cycle_ee(p, trial, tau, problem.g1, problem.g2,
+                            problem.beacon_gain, problem.params, problem.mode,
+                            problem.fixed_P_T)
         out[n] = game_mod.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
     return out
 

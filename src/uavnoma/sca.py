@@ -83,11 +83,10 @@ class ScaProblem:
     # p may be (K, N) with tau (K,): one value per row, each equal to the
     # call with that row alone; a single point gives a float.
 
-    def rate_sum(self, p, tau, alpha_cc=None):
-        """(T - tau) times the sum rate; alpha_cc overrides the problem's."""
-        a = self.alpha_cc if alpha_cc is None else alpha_cc
-        r_cc, r_ce = ll.exact_rates(p, a, self.g1, self.g2, self.params,
-                                    self.mode)
+    def rate_sum(self, p, tau):
+        """(T - tau) times the sum rate."""
+        r_cc, r_ce = ll.exact_rates(p, self.alpha_cc, self.g1, self.g2,
+                                    self.params, self.mode)
         return _scalar((self.params.T - tau) * np.sum(r_cc + r_ce, axis=-1))
 
     def exact_objective(self, p, tau):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from uavnoma import bcd
+from uavnoma import bcd, game, sca
+from uavnoma.linklayer import build_link_state
 from uavnoma.params import IterLimits, SystemParams
 from uavnoma.scenario import make_scenario
 
@@ -168,3 +171,25 @@ def test_sca_stop_counters_rerun_and_sum_over_rounds(monkeypatch):
     # every outer SCA iteration solves one subproblem, which stops once
     assert first["sca_outer"] == sum(sum(r.stops.values()) for r in rounds)
     assert first["sca_stalled"] > 0
+
+
+def test_polish_alpha_matches_rebuilt_problem():
+    """The polished split equals the one of a ScaProblem rebuilt per trial."""
+    params = SystemParams(N=3, M=6)
+    link = build_link_state(make_scenario(2, params))
+    a0 = np.full(3, 0.3)
+    problem = sca.ScaProblem.from_link(link, a0, 1.0 - a0, params)
+    p, tau = np.array([0.8, 1.2, 0.5]), 0.4 * params.T
+
+    def rebuilt_ee(trial):
+        return dataclasses.replace(problem, alpha_cc=trial,
+                                   alpha_ce=1.0 - trial).exact_objective(p, tau)
+
+    ref = a0.copy()
+    for n in range(ref.size):
+        def ee_of(a, n=n):
+            trial = ref.copy()
+            trial[n] = a
+            return rebuilt_ee(trial)
+        ref[n] = game.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
+    assert np.array_equal(bcd._polish_alpha(problem, p, tau, a0), ref)
