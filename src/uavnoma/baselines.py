@@ -7,43 +7,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bcd as bcd_mod
-# build_link_state is imported for the name perfbench/tracer.py wraps here
+# build_link_state and build_report are imported for the names that
+# perfbench/tracer.py wraps in this module
 from .linklayer import (Allocation, build_link_state, build_report,  # noqa: F401
                         cycle_energy, exact_rates, link_gains, static_power,
                         tx_budget)
 from .params import SystemParams
+from .placement import search_box
 from .scenario import Scenario
 
 MAX_GRID_POINTS = int(1e8)
 
 
-def etpa_coefficients(g_cc: float, g_ce: float, eta: float):
-    """Fractional allocation: coefficients proportional to gain^(-eta)."""
-    if g_cc <= 0 or g_ce <= 0:
+def etpa_coefficients(g_cc, g_ce, eta: float):
+    """Fractional allocation: coefficients proportional to gain^(-eta).
+
+    The gains may be arrays, one pair per element.
+    """
+    if np.min(g_cc) <= 0 or np.min(g_ce) <= 0:
         raise ValueError("gains must be positive")
     if not 0 <= eta <= 1:
         raise ValueError("eta must lie in [0, 1]")
     w_cc, w_ce = g_cc ** (-eta), g_ce ** (-eta)
     total = w_cc + w_ce
     return w_cc / total, w_ce / total
-
-
-def oma_ee(scenario: Scenario, params: SystemParams = None,
-           alloc: Allocation = None):
-    """OMA reference point: orthogonal halves, optimized power and position."""
-    prm = params or scenario.params
-    if alloc is not None:
-        return build_report(scenario, alloc, scheme="oma")
-    return bcd_mod.run_pipeline(scenario, params=prm, scheme="oma").report
-
-
-def no_eh_ee(scenario: Scenario, params: SystemParams = None,
-             fixed_P_T: float = 1.0):
-    """Battery-powered variant: tau = 0, fixed transmit budget."""
-    prm = params or scenario.params
-    return bcd_mod.run_pipeline(scenario, params=prm, scheme="noma",
-                                fixed_P_T=fixed_P_T).report
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,10 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
                       grid_spec: GridSpec = None):
     """Best feasible point of the EE over a full Cartesian decision grid.
 
-    Returns (best_scenario, best_alloc, best_ee). Guarded against
-    combinatorial blowup: N <= 3 and at most 1e8 grid points.
+    The positions span params.box within the scenario's box (search_box),
+    the box that placement searches. Returns (best_scenario, best_alloc,
+    best_ee). Guarded against combinatorial blowup: N <= 3 and at most
+    1e8 grid points.
     """
     prm = params or scenario.params
     spec = grid_spec or GridSpec()
@@ -94,8 +83,9 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
     alphas = np.array(list(itertools.product(alpha_axis, repeat=prm.N)))  # K1 x N
     splits = _power_splits(prm.N, spec.power_steps)                       # K2 x N
     taus = np.linspace(0.0, prm.T * (1.0 - 1e-3), spec.tau_steps)
-    xs = np.linspace(prm.box[0], prm.box[1], spec.x_steps)
-    ys = np.linspace(prm.box[2], prm.box[3], spec.y_steps)
+    box = search_box(scenario, prm)
+    xs = np.linspace(box[0], box[1], spec.x_steps)
+    ys = np.linspace(box[2], box[3], spec.y_steps)
 
     P_s = static_power(prm)
     a1 = alphas[:, None, :]           # K1 x 1 x N

@@ -15,12 +15,14 @@ import numpy as np
 from . import game as game_mod
 from . import placement as placement_mod
 from . import sca as sca_mod
+from .baselines import etpa_coefficients
 from .linklayer import (Allocation, build_link_state, build_report,
                         constraint_flags, cycle_ee, static_power, tx_budget)
 from .scenario import Scenario
 
 EE_SLACK = 1e-12   # arithmetic noise allowance in acceptance tests
 PLACEMENT_GRID = 11   # points per axis of the first round's placement scan
+MIN_SEP_SHARE = 0.2   # restart spacing, as a share of the search box's side
 
 
 class PipelineInfeasible(RuntimeError):
@@ -54,14 +56,14 @@ class PipelineResult:
         return self.report.EE
 
 
-def _make_problem(link, alpha_cc, alpha_ce, params, scheme, fixed_P_T):
-    mode = "oma" if scheme == "oma" else "noma"
-    return sca_mod.ScaProblem.from_link(link, alpha_cc, alpha_ce, params,
-                                        mode=mode, fixed_P_T=fixed_P_T)
-
-
 def _polish_alpha(problem, p, tau, alpha_cc):
-    """Per-pair 1-D EE refinement of the intra-pair split (NOMA ordering kept)."""
+    """Per-pair 1-D EE refinement of the intra-pair split (NOMA ordering kept).
+
+    The game's equilibrium split maximizes each pair's own utility, not the
+    system EE, so a golden-section search per pair offers a third
+    candidate. Without it acceptance criterion 7 fails: the worst EE gap to
+    the exhaustive-search oracle grows to 13.4% against the 5% allowed.
+    """
     out = alpha_cc.copy()
     for n in range(out.size):
         def ee_of(a, n=n):
@@ -104,19 +106,18 @@ def _alpha_from_game(link, p, tau, params, fixed_P_T):
 
 
 def run_pipeline(scenario: Scenario, params=None, scheme="noma",
-                 use_game=True, use_placement=True, fixed_P_T=None,
-                 max_rounds=None) -> PipelineResult:
+                 use_placement=True, fixed_P_T=None) -> PipelineResult:
     """Full optimization pipeline for one scenario.
 
     scheme: "noma" (game-based coefficients), "etpa" (fractional
     coefficients) or "oma" (orthogonal halves, no coefficients).
-    fixed_P_T replaces harvesting with a battery budget (tau = 0).
+    fixed_P_T replaces harvesting with a battery budget (tau = 0). At most
+    params.iters.rounds rounds are run.
     """
     prm = params or scenario.params
     mode = "oma" if scheme == "oma" else "noma"
     scn = scenario
     link = build_link_state(scn)
-    rounds_cap = max_rounds or prm.iters.rounds
     counters = {"game_iterations": 0, "sca_outer": 0, "sca_inner": 0,
                 "sca_stalled": 0, "sca_inner_capped": 0,
                 "sca_proj_unconverged": 0, "placement_iterations": 0,
@@ -128,15 +129,15 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                            fixed_P_T=fixed_P_T)
         return all(constraint_flags(scn, link, alloc, mode).values())
 
-    alpha_cc = np.full(prm.N, 0.5)
-    alpha_ce = 1.0 - alpha_cc
     if scheme == "etpa":
-        from .baselines import etpa_coefficients
-        for n in range(prm.N):
-            alpha_cc[n], alpha_ce[n] = etpa_coefficients(
-                link.eff_gain_cc[n], link.eff_gain_ce[n], prm.eta)
+        alpha_cc, alpha_ce = etpa_coefficients(
+            link.eff_gain_cc, link.eff_gain_ce, prm.eta)
+    else:
+        alpha_cc = np.full(prm.N, 0.5)
+        alpha_ce = 1.0 - alpha_cc
 
-    problem = _make_problem(link, alpha_cc, alpha_ce, prm, scheme, fixed_P_T)
+    problem = sca_mod.ScaProblem.from_link(link, alpha_cc, alpha_ce, prm,
+                                           mode=mode, fixed_P_T=fixed_P_T)
     try:
         p_min = sca_mod.combined_lower_bounds(problem)
         tau_lo, tau_hi = sca_mod.tau_bounds(problem, p_min)
@@ -156,13 +157,13 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
 
     record(0)
     stop_reason = "round limit"
-    for r in range(1, rounds_cap + 1):
+    for r in range(1, prm.iters.rounds + 1):
         counters["rounds"] = r
         ee_start = ee
 
         # -- block 1: intra-pair coefficients
         candidates = []
-        if scheme == "noma" and use_game:
+        if scheme == "noma":
             cand_cc, cand_ce, game_results = _alpha_from_game(
                 link, p, tau, prm, fixed_P_T)
             counters["game_iterations"] += sum(len(g.trace) for g in game_results)
@@ -170,21 +171,21 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
             candidates = [(alpha_cc, alpha_ce), (cand_cc, cand_ce),
                           (pol, 1.0 - pol)]
         elif scheme == "etpa":
-            from .baselines import etpa_coefficients
-            cand_cc = np.empty(prm.N)
-            for n in range(prm.N):
-                cand_cc[n], _ = etpa_coefficients(
-                    link.eff_gain_cc[n], link.eff_gain_ce[n], prm.eta)
+            cand_cc, _ = etpa_coefficients(
+                link.eff_gain_cc, link.eff_gain_ce, prm.eta)
             candidates = [(cand_cc, 1.0 - cand_cc)]
         best = None
         for a_cc, a_ce in candidates:
-            prob = _make_problem(link, a_cc, a_ce, prm, scheme, fixed_P_T)
-            val = prob.exact_objective(p, tau)
+            val = float(cycle_ee(p, a_cc, tau, link.eff_gain_cc,
+                                 link.eff_gain_ce, link.beacon_gain, prm,
+                                 mode, fixed_P_T))
             if ((best is None or val > best[0])
                     and feasible(scn, link, p, a_cc, a_ce, tau)):
-                best = (val, a_cc, a_ce, prob)
+                best = (val, a_cc, a_ce)
         if best is not None and best[0] >= ee - EE_SLACK:
-            ee, alpha_cc, alpha_ce, problem = best
+            ee, alpha_cc, alpha_ce = best
+            problem = sca_mod.ScaProblem.from_link(
+                link, alpha_cc, alpha_ce, prm, mode=mode, fixed_P_T=fixed_P_T)
 
         # -- block 2: inter-pair power and WPT time
         relaxed = False
@@ -198,8 +199,9 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                 relaxed = True
                 alpha_cc = alpha_cc / 2.0      # shift power toward the CE users
                 alpha_ce = 1.0 - alpha_cc
-                problem = _make_problem(link, alpha_cc, alpha_ce, prm, scheme,
-                                        fixed_P_T)
+                problem = sca_mod.ScaProblem.from_link(
+                    link, alpha_cc, alpha_ce, prm, mode=mode,
+                    fixed_P_T=fixed_P_T)
         counters["sca_outer"] += len(res2.trace) - 1
         counters["sca_inner"] += res2.inner_iterations
         counters["sca_stalled"] += res2.stops["stall"]
@@ -221,8 +223,9 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
             if res3.ee >= ee - EE_SLACK and res3.xy != scn.uav_xy:
                 moved = scn.with_uav(*res3.xy)
                 new_link = build_link_state(moved)
-                new_problem = _make_problem(new_link, alpha_cc, alpha_ce, prm,
-                                            scheme, fixed_P_T)
+                new_problem = sca_mod.ScaProblem.from_link(
+                    new_link, alpha_cc, alpha_ce, prm, mode=mode,
+                    fixed_P_T=fixed_P_T)
                 # the harvested budget moved with the beacon gain, so the
                 # powers must be re-projected before the move is judged
                 try:
@@ -246,7 +249,7 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     trace.stop_reason = stop_reason
     alloc = Allocation(p=p, alpha_cc=alpha_cc, alpha_ce=alpha_ce, tau=tau,
                        fixed_P_T=fixed_P_T)
-    report = build_report(scn, alloc, scheme=mode)
+    report = build_report(scn, alloc, link=link, scheme=mode)
     return PipelineResult(scenario=scn, alloc=alloc, report=report,
                           trace=trace, scheme=scheme, counters=counters)
 
@@ -254,22 +257,21 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
 def run_algorithm4(scenario: Scenario, params=None) -> PipelineResult:
     """The headline algorithm: NOMA with game, SCA and placement blocks."""
     return run_pipeline(scenario, params=params, scheme="noma",
-                        use_game=True, use_placement=True)
+                        use_placement=True)
 
 
-def position_starts(scenario: Scenario, params=None, k=6, grid=11,
-                    min_sep=None):
+def position_starts(scenario: Scenario, params=None, k=6, grid=11):
     """Spatially diverse high-EE positions for pipeline restarts.
 
     Ranks a grid of candidate UAV positions by the EE of a neutral
-    allocation and greedily keeps the best ones at least min_sep apart,
-    so each distinct basin of the placement landscape gets one start.
+    allocation and greedily keeps the best ones at least MIN_SEP_SHARE of
+    the box's longer side apart, so each distinct basin of the placement
+    landscape gets one start.
     """
     prm = params or scenario.params
     box = placement_mod.search_box(scenario, prm)
     x_min, x_max, y_min, y_max = box
-    if min_sep is None:
-        min_sep = 0.2 * max(x_max - x_min, y_max - y_min)
+    min_sep = MIN_SEP_SHARE * max(x_max - x_min, y_max - y_min)
     alloc = Allocation(p=np.full(prm.N, 1.0),
                        alpha_cc=np.full(prm.N, 0.3),
                        alpha_ce=np.full(prm.N, 0.7), tau=0.5 * prm.T)

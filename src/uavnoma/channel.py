@@ -12,11 +12,6 @@ MIN_DISTANCE = 1.0  # minimum UAV-user separation, m
 
 
 @dataclass(frozen=True)
-class ArrayResponse:
-    entries: np.ndarray  # complex, |entry| = 1/sqrt(M)
-
-
-@dataclass(frozen=True)
 class ChannelVector:
     h: np.ndarray        # complex, trailing axis of length M
     dist: float          # or an array of distances, from los_channels
@@ -47,11 +42,12 @@ def path_gain(dist, params: SystemParams):
     return params.beta0 * dist ** (-params.beta)
 
 
-def array_response(theta, M: int, spacing_ratio: float) -> ArrayResponse:
-    """ULA response; a `theta` array gives one response per leading index."""
+def array_response(theta, M: int, spacing_ratio: float) -> np.ndarray:
+    """ULA response a(theta): M entries of modulus 1/sqrt(M) on a trailing
+    axis; a `theta` array gives one response per leading index."""
     m = np.arange(M)
     phase = 2.0 * np.pi * spacing_ratio * m * np.cos(np.asarray(theta)[..., None])
-    return ArrayResponse(np.exp(1j * phase) / np.sqrt(M))
+    return np.exp(1j * phase) / np.sqrt(M)
 
 
 def los_channels(uav, points, params: SystemParams) -> ChannelVector:
@@ -66,7 +62,7 @@ def los_channels(uav, points, params: SystemParams) -> ChannelVector:
     theta = np.arcsin(np.minimum(z / d, 1.0))   # pi/2 under a 1 m clamp
     beta_nk = path_gain(d, params)
     a = array_response(theta, params.M, params.spacing_ratio)
-    h = np.sqrt(params.M * beta_nk)[..., None] * a.entries
+    h = np.sqrt(params.M * beta_nk)[..., None] * a
     return ChannelVector(h=h, dist=d, theta=theta, beta_nk=beta_nk)
 
 

@@ -32,30 +32,31 @@ def _fmt(v) -> str:
 
 # -- scheme runners ---------------------------------------------------------
 
+# CLI scheme name -> run_pipeline options; a sweep that fixes the battery
+# budget (fixed_P_T) overrides the table's
+PIPELINE_SCHEMES = {
+    "noma_ld": dict(scheme="noma"),
+    "noma_no_ld": dict(scheme="noma", use_placement=False),
+    "oma_ld": dict(scheme="oma"),
+    "oma_no_ld": dict(scheme="oma", use_placement=False),
+    "etpa_ld": dict(scheme="etpa"),
+    "no_eh": dict(scheme="noma", fixed_P_T=1.0),
+}
+
+
 def _run_scheme(scheme, params, seed, fixed_P_T=None):
     scenario = make_scenario(seed, params)
-    if scheme == "noma_ld":
-        res = bcd.run_pipeline(scenario, scheme="noma", fixed_P_T=fixed_P_T)
-    elif scheme == "noma_no_ld":
-        res = bcd.run_pipeline(scenario, scheme="noma", use_placement=False,
-                               fixed_P_T=fixed_P_T)
-    elif scheme == "oma_ld":
-        res = bcd.run_pipeline(scenario, scheme="oma", fixed_P_T=fixed_P_T)
-    elif scheme == "oma_no_ld":
-        res = bcd.run_pipeline(scenario, scheme="oma", use_placement=False,
-                               fixed_P_T=fixed_P_T)
-    elif scheme == "etpa_ld":
-        res = bcd.run_pipeline(scenario, scheme="etpa", fixed_P_T=fixed_P_T)
-    elif scheme == "no_eh":
-        res = bcd.run_pipeline(scenario, scheme="noma",
-                               fixed_P_T=fixed_P_T or 1.0)
-    elif scheme == "es":
+    if scheme == "es":
         spec = baselines.GridSpec(alpha_steps=11, power_steps=11, tau_steps=7,
                                   x_steps=7, y_steps=7)
         _, _, ee = baselines.exhaustive_search(scenario, grid_spec=spec)
         return ee, 1, None
-    else:
+    if scheme not in PIPELINE_SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    opts = dict(PIPELINE_SCHEMES[scheme])
+    if fixed_P_T is not None:
+        opts["fixed_P_T"] = fixed_P_T
+    res = bcd.run_pipeline(scenario, **opts)
     return res.ee, res.counters["rounds"], res
 
 

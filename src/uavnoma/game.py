@@ -161,9 +161,3 @@ def run_algorithm1(up: UtilityParams, eps_game: float = 1e-6,
     return GameResult(alpha_cc=alpha_cc, alpha_ce=alpha_ce, p_cc=p_cc,
                       p_ce=p_ce, converged=converged, certified=certified,
                       ordering_clamped=clamped, trace=trace)
-
-
-def trace_to_csv_rows(result: GameResult):
-    yield "iteration,p_cc,p_ce,f_cc,f_ce"
-    for s in result.trace:
-        yield f"{s.i},{s.p_cc:.10g},{s.p_ce:.10g},{s.f_cc:.10g},{s.f_ce:.10g}"

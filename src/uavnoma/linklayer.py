@@ -31,7 +31,6 @@ class LinkState:
 
     eff_gain_cc: np.ndarray      # |h_{n,1}^H q_n|^2
     eff_gain_ce: np.ndarray      # |h_{n,2}^H q_n|^2
-    precoder: Precoder
     beacon_gain: float           # M^2 beta_PU
     antenna_loads: np.ndarray    # M x N, |[q_n]_iota|^2
 
@@ -154,7 +153,7 @@ def build_link_state(scenario: Scenario) -> LinkState:
     """ZF gains, antenna loads and beacon gain at the scenario's UAV position."""
     g_cc, g_ce, q, beacon_gain = link_gains(scenario, scenario.uav_xy)
     return LinkState(
-        eff_gain_cc=g_cc[0], eff_gain_ce=g_ce[0], precoder=Precoder(q[0]),
+        eff_gain_cc=g_cc[0], eff_gain_ce=g_ce[0],
         beacon_gain=float(beacon_gain[0]), antenna_loads=np.abs(q[0]) ** 2,
     )
 

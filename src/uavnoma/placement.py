@@ -18,9 +18,11 @@ from .scenario import Scenario
 
 FD_STEP0 = 1e-3
 FD_RTOL = 1e-5
+FD_HALVINGS = 8     # step halvings of the finite-difference ladder
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
 ARMIJO_BLOCK = 8    # Armijo halvings evaluated per call of the objective
+INIT_STEP = 5.0     # first Armijo step, before a Barzilai-Borwein seed exists
 
 
 @dataclass
@@ -54,14 +56,14 @@ def ee_of_position(scenario: Scenario, alloc: Allocation, scheme="noma",
     return f
 
 
-def fd_gradient(f, x, y, step0=FD_STEP0, rtol=FD_RTOL, max_halvings=8):
+def fd_gradient(f, x, y, step0=FD_STEP0):
     """Central differences with step halving until two estimates agree.
 
     The whole halving ladder, four points per step, is one call of f; the
     estimates are then compared in order, so the result is the one that
     evaluating the steps one by one would give.
     """
-    s = step0 / 2.0 ** np.arange(max_halvings + 1)
+    s = step0 / 2.0 ** np.arange(FD_HALVINGS + 1)
     zero = np.zeros_like(s)
     v = f(x + np.concatenate([s, -s, zero, zero]),
           y + np.concatenate([zero, zero, s, -s])).reshape(4, -1)
@@ -70,7 +72,7 @@ def fd_gradient(f, x, y, step0=FD_STEP0, rtol=FD_RTOL, max_halvings=8):
     g = grads[0]
     for g_half in grads[1:]:
         scale = max(np.linalg.norm(g_half), 1e-12)
-        if np.linalg.norm(g_half - g) <= rtol * scale:
+        if np.linalg.norm(g_half - g) <= FD_RTOL * scale:
             return g_half
         g = g_half
     return g
@@ -82,8 +84,7 @@ def ee_gradient(scenario: Scenario, alloc: Allocation, scheme="noma"):
     return fd_gradient(f, scenario.uav_xy[0], scenario.uav_xy[1])
 
 
-def maximize_over_box(f, xy0, box, eps, max_iter,
-                      init_step=5.0) -> PlacementResult:
+def maximize_over_box(f, xy0, box, eps, max_iter) -> PlacementResult:
     """Projected gradient ascent of f over the box, Armijo backtracking.
 
     The Armijo halvings are evaluated ARMIJO_BLOCK at a time in one call
@@ -102,7 +103,7 @@ def maximize_over_box(f, xy0, box, eps, max_iter,
         g = fd_gradient(f, z[0], z[1])
         # Barzilai-Borwein step seed tames the zigzag of plain ascent on
         # ill-conditioned ridges; Armijo halving keeps the trace monotone
-        step = init_step
+        step = INIT_STEP
         if g_prev is not None:
             s = z - z_prev
             y = g - g_prev
@@ -175,10 +176,3 @@ def run_algorithm3(scenario: Scenario, alloc: Allocation, params=None,
         xy0 = (cx[best], cy[best])
     return maximize_over_box(f, xy0, box, eps=prm.tol.eps_place,
                              max_iter=prm.iters.N_MAX)
-
-
-def trace_to_csv_rows(result: PlacementResult):
-    yield "omega,x0,y0,EE"
-    for row in result.trace:
-        yield ",".join(f"{v:.10g}" if i else str(int(v))
-                       for i, v in enumerate(row))

@@ -22,6 +22,7 @@ PROJ_TOL = 1e-10
 BACKTRACK_BLOCK = 8    # backtracking steps projected and evaluated per call
 BACKTRACK_STEPS = 40   # halvings tried before an inner step gives up
 STALL_STEPS = 20       # accepted steps in a row that leave the surrogate as is
+GRAD_TOL = 1e-7        # projected-gradient step length read as stationary
 STOP_REASONS = ("stationary", "no_ascent", "stall", "capped")
 
 
@@ -83,27 +84,32 @@ class ScaProblem:
     # p may be (K, N) with tau (K,): one value per row, each equal to the
     # call with that row alone; a single point gives a float.
 
-    def rate_sum(self, p, tau):
-        """(T - tau) times the sum rate."""
-        r_cc, r_ce = ll.exact_rates(p, self.alpha_cc, self.g1, self.g2,
-                                    self.params, self.mode)
-        return _scalar((self.params.T - tau) * np.sum(r_cc + r_ce, axis=-1))
-
     def exact_objective(self, p, tau):
-        return self.rate_sum(p, tau) / self.energy(tau)
+        return _scalar(ll.cycle_ee(p, self.alpha_cc, tau, self.g1, self.g2,
+                                   self.beacon_gain, self.params, self.mode,
+                                   self.fixed_P_T))
+
+    def _dc_terms(self, p, p_ref):
+        """The DC split of the NOMA rate sum, without its B(T - tau) factors.
+
+        Returns the concave log terms at p, the CE interference term
+        linearized at p_ref and evaluated at p, and the slope c of that
+        linearization; each sum is over the last axis of p.
+        """
+        a, g1, g2 = self.alpha_cc, self.g1, self.g2
+        c = a * g2 / (LN2 * (1.0 + a * p_ref * g2))
+        pos = np.sum(np.log2(1.0 + a * p * g1) + np.log2(1.0 + p * g2),
+                     axis=-1)
+        neg = np.sum(np.log2(1.0 + a * p_ref * g2) + c * (p - p_ref), axis=-1)
+        return pos, neg, c
 
     def surrogate_objective(self, p, tau, p_ref, tau_ref):
         prm = self.params
         if self.mode == "oma":
             return self.exact_objective(p, tau)
-        pos = (prm.T - tau) * prm.B * np.sum(
-            np.log2(1.0 + self.alpha_cc * p * self.g1)
-            + np.log2(1.0 + p * self.g2), axis=-1)
-        c = self.alpha_cc * self.g2 / (LN2 * (1.0 + self.alpha_cc * p_ref * self.g2))
-        neg = (prm.T - tau_ref) * prm.B * np.sum(
-            np.log2(1.0 + self.alpha_cc * p_ref * self.g2) + c * (p - p_ref),
-            axis=-1)
-        return _scalar((pos - neg) / self.energy(tau))
+        pos, neg, _ = self._dc_terms(p, p_ref)
+        num = (prm.T - tau) * prm.B * pos - (prm.T - tau_ref) * prm.B * neg
+        return _scalar(num / self.energy(tau))
 
     def surrogate_gradient(self, p, tau, p_ref, tau_ref):
         prm = self.params
@@ -112,22 +118,17 @@ class ScaProblem:
             dnum_p = (prm.T - tau) * prm.B * 0.5 * (
                 self.g1 / (LN2 * (1.0 + p * self.g1))
                 + self.g2 / (LN2 * (1.0 + p * self.g2)))
-            pos_terms = 0.5 * np.sum(np.log2(1.0 + p * self.g1)
-                                     + np.log2(1.0 + p * self.g2))
-            num = (prm.T - tau) * prm.B * pos_terms
-            dnum_tau = -prm.B * pos_terms
+            pos = 0.5 * np.sum(np.log2(1.0 + p * self.g1)
+                               + np.log2(1.0 + p * self.g2))
+            num = (prm.T - tau) * prm.B * pos
         else:
+            pos, neg, c = self._dc_terms(p, p_ref)
             dnum_p = (prm.T - tau) * prm.B * (
                 self.alpha_cc * self.g1 / (LN2 * (1.0 + self.alpha_cc * p * self.g1))
                 + self.g2 / (LN2 * (1.0 + p * self.g2)))
-            c = self.alpha_cc * self.g2 / (LN2 * (1.0 + self.alpha_cc * p_ref * self.g2))
             dnum_p = dnum_p - (prm.T - tau_ref) * prm.B * c
-            pos_terms = np.sum(np.log2(1.0 + self.alpha_cc * p * self.g1)
-                               + np.log2(1.0 + p * self.g2))
-            neg = np.sum(np.log2(1.0 + self.alpha_cc * p_ref * self.g2)
-                         + c * (p - p_ref))
-            num = (prm.T - tau) * prm.B * pos_terms - (prm.T - tau_ref) * prm.B * neg
-            dnum_tau = -prm.B * pos_terms
+            num = (prm.T - tau) * prm.B * pos - (prm.T - tau_ref) * prm.B * neg
+        dnum_tau = -prm.B * pos
         dE = self.energy_dtau(tau)
         grad_p = dnum_p / E
         grad_tau = dnum_tau / E - num * dE / E ** 2
@@ -286,8 +287,7 @@ class SubproblemStats:
     unconverged: int     # projected points read that did not converge
 
 
-def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
-                     grad_tol=1e-7, max_iter=None):
+def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi):
     """Maximize the surrogate by projected gradient ascent with backtracking.
 
     Each step projects the unit probe of the stationarity test and a block
@@ -297,13 +297,12 @@ def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
     stops at stationarity, when no halving ascends, after STALL_STEPS
     accepted steps in a row that leave the surrogate unchanged (the
     iterate then only drifts by rounding along the budget-tight boundary,
-    where the unit probe never reads stationary), or at max_iter.
+    where the unit probe never reads stationary), or after
+    params.iters.inner steps.
 
     Returns (p, tau, SubproblemStats).
     """
     prm = problem.params
-    if max_iter is None:
-        max_iter = prm.iters.inner
 
     def project(p, tau):
         tau = np.clip(tau, tau_lo, tau_hi)
@@ -319,7 +318,7 @@ def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
     stalled = 0
     stop = "capped"
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, prm.iters.inner + 1):
         gp, gt = problem.surrogate_gradient(p, tau, p_ref, tau_ref)
         accepted = None
         for tried in range(0, BACKTRACK_STEPS, BACKTRACK_BLOCK):
@@ -331,7 +330,7 @@ def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi,
                 # projected-gradient stationarity test at the unit probe
                 unconverged += int(not ok[0])
                 if np.sqrt(np.sum((P[0] - p) ** 2)
-                           + (taus[0] - tau) ** 2) < grad_tol:
+                           + (taus[0] - tau) ** 2) < GRAD_TOL:
                     stop = "stationary"
                     break
                 P, taus, ok = P[1:], taus[1:], ok[1:]
@@ -387,6 +386,25 @@ def initial_point(problem: ScaProblem, p_min, tau_lo, tau_hi):
 SCREEN_TAUS = 9   # coarse WPT-time candidates scanned before the ascent
 
 
+def _scan(problem: ScaProblem, rows, p_min, caps, taus, fit):
+    """Project candidate powers onto their budgets and score them.
+
+    rows (K, N) are projected with budgets caps (K,) in one call and scored
+    by the exact EE at harvest times taus (K,) in one more; one point (N,)
+    with scalar cap and tau gives a float score. When fit (the floors
+    alone meet the antenna caps) a candidate whose projection did not
+    converge scores -inf.
+
+    Returns (candidates, scores, converged flags).
+    """
+    cands, ok = project_powers(rows, p_min, caps, problem.antenna_loads,
+                               problem.params.P_iota)
+    vals = problem.exact_objective(cands, taus)
+    if fit:
+        vals = np.where(ok, vals, -np.inf)
+    return cands, vals, ok
+
+
 def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     """Best starting point among the incumbent and a coarse candidate scan.
 
@@ -395,9 +413,8 @@ def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     harvest time with a correspondingly larger budget can beat a small one.
     Gradient ascent cannot cross the valleys in between, so the start is
     chosen by screening equal and per-pair concentrated splits over a
-    coarse harvest-time grid, all in one projection and one objective call.
-    Candidates whose projection did not converge are skipped when the
-    floors alone fit the antenna caps.
+    coarse harvest-time grid in one scan. Candidates whose projection did
+    not converge are skipped when the floors alone fit the antenna caps.
 
     Returns (p, tau, number of unconverged candidates).
     """
@@ -416,13 +433,10 @@ def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     # per harvest time: the equal split, then all of the head on each pair
     extra = np.concatenate([np.repeat((heads / N)[:, None, None], N, axis=2),
                             heads[:, None, None] * np.eye(N)], axis=1)
-    cands, ok = project_powers((p_min + extra).reshape(-1, N), p_min,
-                               np.repeat(caps, N + 1), problem.antenna_loads,
-                               prm.P_iota)
     t_rows = np.repeat(taus, N + 1)
-    vals = problem.exact_objective(cands, t_rows)
-    if floors_fit_caps(problem, p_min):
-        vals = np.where(ok, vals, -np.inf)
+    cands, vals, ok = _scan(problem, (p_min + extra).reshape(-1, N), p_min,
+                            np.repeat(caps, N + 1), t_rows,
+                            floors_fit_caps(problem, p_min))
     k = int(np.argmax(vals))
     if vals[k] > problem.exact_objective(p, tau):
         p, tau = cands[k], t_rows[k]
@@ -435,10 +449,10 @@ def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     Gradient ascent stalls on the curve p = budget(tau): raising tau at
     fixed p lowers the EE even when raising tau and p together raises it.
     The refinement rescales p with the budget, scans a coarse tau grid in
-    one projection and one objective call, and golden-sections the best
-    bracket. Grid points whose projection did not converge are passed
-    over when the floors alone fit the antenna caps, and so is such a
-    refined point, in favour of the best grid point.
+    one scan, and golden-sections the best bracket. Grid points whose
+    projection did not converge are passed over when the floors alone fit
+    the antenna caps, and so is such a refined point, in favour of the
+    best grid point.
 
     Returns (p, tau, number of unconverged projections read).
     """
@@ -446,7 +460,6 @@ def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
 
     if problem.fixed_P_T is not None or tau_hi <= tau_lo:
         return p, tau, 0
-    prm = problem.params
     cap0 = problem.budget(tau)
     fit = floors_fit_caps(problem, p_min)
     missed = 0
@@ -455,20 +468,16 @@ def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
         nonlocal missed
         cap = problem.budget(t)
         scale = cap / cap0 if cap0 > 0.0 else 1.0
-        cand, ok = project_powers(p * scale, p_min, cap,
-                                  problem.antenna_loads, prm.P_iota)
+        cand, val, ok = _scan(problem, p * scale, p_min, cap, t, False)
         missed += not ok
-        return problem.exact_objective(cand, t), cand, ok
+        return val, cand, ok
 
     grid = np.linspace(tau_lo, tau_hi, 33)
     caps = problem.budget(grid)
     scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
-    cands, ok = project_powers(p * scales[:, None], p_min, caps,
-                               problem.antenna_loads, prm.P_iota)
+    cands, vals, ok = _scan(problem, p * scales[:, None], p_min, caps, grid,
+                            fit)
     missed += int(np.sum(~ok))
-    vals = problem.exact_objective(cands, grid)
-    if fit:
-        vals = np.where(ok, vals, -np.inf)
     k = int(np.argmax(vals))
     if vals[k] == -np.inf:
         return p, tau, missed
@@ -537,11 +546,3 @@ def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
     return ScaResult(p=p, tau=tau, objective=F, converged=converged,
                      trace=trace, inner_iterations=inner_total, stops=stops,
                      proj_unconverged=missed)
-
-
-def trace_to_csv_rows(result: ScaResult):
-    n = result.p.size
-    yield "j,tau," + ",".join(f"p_{i + 1}" for i in range(n)) + ",exact_EE,surrogate_EE"
-    for j, tau, p, exact, sur in result.trace:
-        ps = ",".join(f"{v:.10g}" for v in p)
-        yield f"{j},{tau:.10g},{ps},{exact:.10g},{sur:.10g}"

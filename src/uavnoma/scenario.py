@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +99,3 @@ def make_scenario(seed: int, params: SystemParams, uav_xy=(0.0, 0.0)) -> Scenari
     return Scenario(params=params, uav_xy=(float(uav_xy[0]), float(uav_xy[1])),
                     users=tuple(users), pairs=tuple(pairs), seed=seed)
 
-
-def scenario_to_json(scenario: Scenario) -> str:
-    doc = {
-        "seed": scenario.seed,
-        "uav_xy": list(scenario.uav_xy),
-        "users": [
-            {"id": u.id, "pos": list(u.pos), "role": u.role,
-             "dist_to_center": u.dist_to_center}
-            for u in scenario.users
-        ],
-        "pairs": [{"n": p.n, "cc": p.cc, "ce": p.ce} for p in scenario.pairs],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from uavnoma import baselines as bl
+from uavnoma import bcd
+from uavnoma.linklayer import build_report
 from uavnoma.params import SystemParams
 from uavnoma.scenario import make_scenario
 
@@ -86,9 +88,34 @@ def test_exhaustive_search_respects_rate_floor():
 
 
 def test_oma_and_no_eh_wrappers():
+    """The OMA and battery-powered reference points of the pipeline."""
     params = SystemParams(N=2, M=4, R_min=0.0)
     scn = make_scenario(0, params)
-    rep_oma = bl.oma_ee(scn, params)
-    rep_no_eh = bl.no_eh_ee(scn, params, fixed_P_T=1.0)
+    rep_oma = bcd.run_pipeline(scn, params=params, scheme="oma").report
+    rep_no_eh = bcd.run_pipeline(scn, params=params, scheme="noma",
+                                 fixed_P_T=1.0).report
     assert rep_oma.EE > 0 and rep_no_eh.EE > 0
     assert rep_no_eh.energy["uav_tx"] == pytest.approx(1.0 * params.T)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exhaustive_search_stays_in_scenario_box(seed):
+    """With params.box wider than the scenario's box, the oracle searches
+    the part inside the scenario's box, as placement does."""
+    scn = make_scenario(seed, SystemParams(N=2, M=4, R_min=0.0,
+                                           box=(-5.0, 5.0, -5.0, 5.0)))
+    wide = scn.params.replace(box=(-50.0, 50.0, -50.0, 50.0))
+    spec = bl.GridSpec(alpha_steps=5, power_steps=5, tau_steps=5,
+                       x_steps=5, y_steps=5)
+    best_scn, alloc, ee = bl.exhaustive_search(scn, params=wide,
+                                               grid_spec=spec)
+    x, y = best_scn.uav_xy
+    assert -5.0 <= x <= 5.0 and -5.0 <= y <= 5.0
+    rep = build_report(best_scn, alloc)
+    assert all(rep.feasible.values())
+    assert rep.EE == pytest.approx(ee, rel=1e-9)
+    # the box that placement searches gives the same oracle
+    assert bl.exhaustive_search(scn, grid_spec=spec)[2] == ee
+    res = bcd.run_pipeline(scn, params=wide)
+    rx, ry = res.scenario.uav_xy
+    assert -5.0 <= rx <= 5.0 and -5.0 <= ry <= 5.0

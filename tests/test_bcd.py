@@ -142,9 +142,8 @@ def test_position_starts_diverse_and_in_box():
 
 
 def test_max_rounds_override():
-    params = SystemParams(**DESK)
-    res = bcd.run_pipeline(make_scenario(0, params), params=params,
-                           max_rounds=1)
+    params = SystemParams(**DESK, iters=IterLimits(rounds=1))
+    res = bcd.run_pipeline(make_scenario(0, params), params=params)
     assert res.counters["rounds"] == 1
 
 

@@ -36,17 +36,17 @@ def test_path_gain_values():
 
 def test_array_response_m1():
     a = ch.array_response(0.3, 1, 0.5)
-    assert np.allclose(a.entries, [1.0])
+    assert np.allclose(a, [1.0])
 
 
 def test_array_response_half_wavelength_flip():
     a = ch.array_response(0.0, 4, 0.5)  # cos(theta) = 1
-    assert np.allclose(a.entries, 0.5 * np.array([1, -1, 1, -1]), atol=1e-12)
+    assert np.allclose(a, 0.5 * np.array([1, -1, 1, -1]), atol=1e-12)
 
 
 def test_array_response_broadside():
     a = ch.array_response(np.pi / 2.0, 5, 0.5)
-    assert np.allclose(a.entries, np.full(5, 1.0 / np.sqrt(5.0)), atol=1e-12)
+    assert np.allclose(a, np.full(5, 1.0 / np.sqrt(5.0)), atol=1e-12)
 
 
 def test_user_channel_norm_identity():

@@ -199,10 +199,3 @@ def test_empty_space_fallback_flagged():
     res = game.run_algorithm1(up)
     assert not res.certified
     assert 0.0 <= res.p_cc <= up.p_max and 0.0 <= res.p_ce <= up.p_max
-
-
-def test_csv_trace():
-    up = game.UtilityParams(**CERT)
-    rows = list(game.trace_to_csv_rows(game.run_algorithm1(up)))
-    assert rows[0].startswith("iteration,")
-    assert len(rows) >= 2

@@ -261,6 +261,10 @@ def test_ee_defined_once(case):
                                    params, mode=c["scheme"],
                                    fixed_P_T=c["fixed_P_T"])
     assert problem.exact_objective(alloc.p, tau) == pytest.approx(ee, rel=1e-12)
+    # the SCA objective is the link layer's EE itself, bit for bit
+    assert problem.exact_objective(alloc.p, tau) == ll.cycle_ee(
+        alloc.p, alloc.alpha_cc, tau, link.eff_gain_cc, link.eff_gain_ce,
+        link.beacon_gain, params, c["scheme"], c["fixed_P_T"])
     if c["scheme"] != "noma" or c["fixed_P_T"] is not None:
         return   # the CLI curve and the oracle are harvested NOMA only
     assert cli._fixed_tau_ee(params, seed, tau) == pytest.approx(ee, rel=1e-12)

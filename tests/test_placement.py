@@ -100,14 +100,6 @@ def test_interior_stationarity():
         assert np.linalg.norm(g) <= 1e-5 * max(abs(res.ee), 1.0)
 
 
-def test_csv_trace():
-    scn, alloc, params = small_instance(seed=0)
-    res = pl.run_algorithm3(scn, alloc, params)
-    rows = list(pl.trace_to_csv_rows(res))
-    assert rows[0] == "omega,x0,y0,EE"
-    assert len(rows) == len(res.trace) + 1
-
-
 def test_link_gains_rank_deficient_at_mirror_origin():
     """Identical CC channels: the QR beam is finite, admissible, repeatable."""
     scn, _ = mirror_instance()

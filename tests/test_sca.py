@@ -229,13 +229,6 @@ def test_tau_bounds_closed_form():
     assert hi < problem.params.T
 
 
-def test_trace_csv():
-    problem, _ = make_problem(seed=0, R_min=0.0)
-    rows = list(sca.trace_to_csv_rows(sca.run_algorithm2(problem)))
-    assert rows[0].startswith("j,tau,p_1")
-    assert len(rows) >= 2
-
-
 @pytest.mark.parametrize("mode", ["noma", "oma"])
 def test_lower_bounds_zero_gain_infeasible(mode):
     p = SystemParams(N=2, M=4, R_min=0.1)

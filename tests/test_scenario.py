@@ -3,7 +3,7 @@ import pytest
 
 from uavnoma.params import SystemParams
 from uavnoma.scenario import (GroundUser, generate_users, make_scenario,
-                              pair_users, scenario_to_json)
+                              pair_users)
 
 
 def test_two_users_closer_tagged_cc():
@@ -25,7 +25,7 @@ def test_determinism():
     p = SystemParams()
     assert generate_users(42, p) == generate_users(42, p)
     s1, s2 = make_scenario(42, p), make_scenario(42, p)
-    assert scenario_to_json(s1) == scenario_to_json(s2)
+    assert s1 == s2
 
 
 def test_disc_sampling_is_uniform():
