@@ -17,6 +17,11 @@ from .placement import search_box
 from .scenario import Scenario
 
 MAX_GRID_POINTS = int(1e8)
+# Elements of one chunk's rate arrays (alpha x positions x tau x split x
+# pair), 2 positions of the criterion-7 grid at N = 2: chunks of 1-2
+# positions ran fastest there, larger ones only add memory
+ES_CHUNK_ELEMENTS = 20_000
+SLACK = 1e-12   # allowance of the rate floors and antenna caps
 
 
 def etpa_coefficients(g_cc, g_ce, eta: float):
@@ -43,6 +48,13 @@ class GridSpec:
     x_steps: int = 11
     y_steps: int = 11
 
+    def __post_init__(self):
+        for name in ("alpha_steps", "power_steps", "tau_steps", "x_steps",
+                     "y_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
+
 
 def _power_splits(n_pairs: int, steps: int):
     """Fractions of the total budget per pair, summing to 1."""
@@ -62,14 +74,68 @@ def grid_size(params: SystemParams, spec: GridSpec) -> int:
             * spec.x_steps * spec.y_steps)
 
 
+def _pair_rates(p, alpha_cc, g_cc, g_ce, prm: SystemParams):
+    """r_cc + r_ce of each pair, -inf where it misses a rate floor (C3/C4)."""
+    r_cc, r_ce = exact_rates(p, alpha_cc, g_cc, g_ce, prm)
+    floor = prm.R_min - SLACK
+    return np.where((r_cc >= floor) & (r_ce >= floor), r_cc + r_ce, -np.inf)
+
+
+def _ee(rates, tau, energy, prm: SystemParams):
+    """EE of per-pair rates (..., N) at harvest time tau and cycle energy."""
+    return (prm.T - tau) * np.sum(rates, axis=-1) / energy
+
+
+def _first_maximiser(rates, ee_of, target):
+    """(alpha index per pair, split index) of the first point whose EE is
+    target, the slice's maximum, in the order of the alpha-product grid:
+    alpha combinations (pair 0 slowest) major, splits minor.
+
+    rates (A x S x N) are one slice's per-pair rates; ee_of maps rates
+    (..., S, N) to EEs (..., S). The EE rises with each pair's rate, so a
+    prefix of alpha indices reaches target exactly when it does with the
+    other pairs at their best; fixing pairs one at a time keeps this exact
+    in floating point, rounding ties included.
+    """
+    n_alpha, _, n_pairs = rates.shape
+    pick = np.zeros(n_pairs, dtype=int)
+    best = rates.max(axis=0)                      # S x N
+    for n in range(n_pairs):
+        trial = np.repeat(best[None], n_alpha, axis=0)
+        trial[:, :, :n] = rates[pick[:n], :, np.arange(n)].T
+        trial[:, :, n] = rates[:, :, n]
+        pick[n] = np.argmax(np.any(ee_of(trial) == target, axis=1))
+    chosen = rates[pick, :, np.arange(n_pairs)].T.copy()   # S x N
+    return pick, int(np.argmax(ee_of(chosen) == target))
+
+
 def exhaustive_search(scenario: Scenario, params: SystemParams = None,
                       grid_spec: GridSpec = None):
     """Best feasible point of the EE over a full Cartesian decision grid.
 
-    The positions span params.box within the scenario's box (search_box),
-    the box that placement searches. Returns (best_scenario, best_alloc,
-    best_ee). Guarded against combinatorial blowup: N <= 3 and at most
-    1e8 grid points.
+    The grid is UAV position x harvest time tau x power split x alpha_cc per
+    pair; the positions span params.box within the scenario's box
+    (search_box), the box that placement searches. Returns (best_scenario,
+    best_alloc, best_ee). Guarded against combinatorial blowup: N <= 3 and
+    at most MAX_GRID_POINTS grid points. Raises ValueError("no feasible
+    grid point: ...") naming the blocking constraint when no point meets
+    the rate floors (C3/C4) and antenna caps (C8).
+
+    The alpha product is never formed. At a fixed position, tau and split
+    the energy is fixed (every split spends the whole budget), pair n's
+    rates and floors depend only on its own alpha_n and p_n, and the
+    antenna caps only on the split; so the best alpha combination is each
+    pair's own best alpha, and the work per (position, tau) is A*S*N rates
+    instead of A^N*S*N. The rates are computed for chunks of positions at
+    once, each rate array holding at most ES_CHUNK_ELEMENTS elements, or
+    one position's where that is more.
+
+    Ties resolve as a loop over positions, then tau, scoring the full
+    (alpha combination, split) grid of each slice and keeping a strictly
+    better slice would: the first (position, tau) reaching the maximum
+    wins, and within it the first alpha combination (pair 0's index
+    slowest), then the first split. A pair given no power ties over every
+    alpha and gets the smallest.
     """
     prm = params or scenario.params
     spec = grid_spec or GridSpec()
@@ -80,44 +146,58 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
         raise ValueError(f"grid too large: {total} > {MAX_GRID_POINTS} points")
 
     alpha_axis = np.linspace(0.5 / spec.alpha_steps, 0.5, spec.alpha_steps)
-    alphas = np.array(list(itertools.product(alpha_axis, repeat=prm.N)))  # K1 x N
-    splits = _power_splits(prm.N, spec.power_steps)                       # K2 x N
+    splits = _power_splits(prm.N, spec.power_steps)                       # S x N
     taus = np.linspace(0.0, prm.T * (1.0 - 1e-3), spec.tau_steps)
     box = search_box(scenario, prm)
     xs = np.linspace(box[0], box[1], spec.x_steps)
     ys = np.linspace(box[2], box[3], spec.y_steps)
 
     P_s = static_power(prm)
-    a1 = alphas[:, None, :]           # K1 x 1 x N
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     X, Y = X.ravel(), Y.ravel()
     gains_cc, gains_ce, beams, beacon_gains = link_gains(
         scenario, np.stack([X, Y], axis=1))
-    best = (-np.inf, None, None, None, None)
-    for x, y, g_cc, g_ce, q, beacon_gain in zip(
-            X.tolist(), Y.tolist(), gains_cc, gains_ce, beams, beacon_gains):
-        antenna_loads = np.abs(q) ** 2
-        for tau in taus:
-            P_T = tx_budget(tau, beacon_gain, prm)
-            p = P_T * splits[None, :, :]          # 1 x K2 x N
-            r_cc, r_ce = exact_rates(p, a1, g_cc, g_ce, prm)
-            ok = (np.all(r_cc >= prm.R_min - 1e-12, axis=2)
-                  & np.all(r_ce >= prm.R_min - 1e-12, axis=2))
-            loads = splits @ antenna_loads.T * P_T   # K2 x M
-            ok &= np.all(loads <= prm.P_iota + 1e-12, axis=1)[None, :]
-            if not np.any(ok):
-                continue
-            ee = ((prm.T - tau) * np.sum(r_cc + r_ce, axis=2)
-                  / cycle_energy(tau, P_T, P_s, prm))
-            ee = np.where(ok, ee, -np.inf)
-            idx = np.unravel_index(np.argmax(ee), ee.shape)
-            if ee[idx] > best[0]:
-                best = (float(ee[idx]), (x, y), tau,
-                        alphas[idx[0]].copy(), P_T * splits[idx[1]].copy())
+    unit_loads = splits @ np.swapaxes(np.abs(beams) ** 2, -1, -2)  # K x S x M
+    alphas = alpha_axis[:, None, None, None, None]
+    step = max(1, ES_CHUNK_ELEMENTS // (alpha_axis.size * taus.size
+                                        * splits.size))
+    best_ee, best_at = -np.inf, None
+    floors_met = False
+    for lo in range(0, len(X), step):
+        c = slice(lo, lo + step)
+        P_T = tx_budget(taus, beacon_gains[c, None], prm)           # K' x Tau
+        caps = np.all(unit_loads[c, None] * P_T[..., None, None]
+                      <= prm.P_iota + SLACK, axis=-1)               # K' x Tau x S
+        rates = _pair_rates(P_T[..., None, None] * splits, alphas,
+                            gains_cc[c, None, None], gains_ce[c, None, None],
+                            prm).max(axis=0)                        # K' x Tau x S x N
+        ee = _ee(rates, taus[:, None],
+                 cycle_energy(taus, P_T, P_s, prm)[..., None], prm)
+        slice_max = np.where(caps, ee, -np.inf).max(axis=-1)        # K' x Tau
+        i = int(np.argmax(slice_max))
+        if slice_max.flat[i] > best_ee:
+            best_ee = float(slice_max.flat[i])
+            best_at = (lo + i // taus.size, i % taus.size)
+        floors_met = floors_met or bool(np.any(np.all(rates > -np.inf, -1)))
+    if best_at is None:
+        # tau = 0 leaves no power to cap, so C8 alone never blocks the grid
+        raise ValueError("no feasible grid point: " + (
+            "antenna caps (C8) are exceeded wherever the rate floors "
+            "(C3/C4) hold" if floors_met else
+            "rate floors (C3/C4) miss for some pair at every grid point"))
 
-    ee_best, xy, tau, alpha_cc, p = best
-    if xy is None:
-        raise ValueError("no feasible grid point")
-    scn = scenario.with_uav(*xy)
-    alloc = Allocation(p=p, alpha_cc=alpha_cc, alpha_ce=1.0 - alpha_cc, tau=tau)
-    return scn, alloc, ee_best
+    k, t = best_at
+    tau = taus[t]
+    P_T = tx_budget(tau, beacon_gains[k], prm)
+    caps = np.all(unit_loads[k] * P_T <= prm.P_iota + SLACK, axis=-1)
+    energy = cycle_energy(tau, P_T, P_s, prm)
+    rates = _pair_rates(P_T * splits, alpha_axis[:, None, None],
+                        gains_cc[k], gains_ce[k], prm)               # A x S x N
+    pick, s = _first_maximiser(
+        rates, lambda r: np.where(caps, _ee(r, tau, energy, prm), -np.inf),
+        best_ee)
+    alpha_cc = alpha_axis[pick]
+    scn = scenario.with_uav(float(X[k]), float(Y[k]))
+    alloc = Allocation(p=P_T * splits[s], alpha_cc=alpha_cc,
+                       alpha_ce=1.0 - alpha_cc, tau=tau)
+    return scn, alloc, best_ee
