@@ -384,16 +384,16 @@ def initial_point(problem: ScaProblem, p_min, tau_lo, tau_hi):
 
 
 SCREEN_TAUS = 9   # coarse WPT-time candidates scanned before the ascent
+TAU_GRID = 33     # harvest times per scan of the harvest-time polish
 
 
 def _scan(problem: ScaProblem, rows, p_min, caps, taus, fit):
     """Project candidate powers onto their budgets and score them.
 
     rows (K, N) are projected with budgets caps (K,) in one call and scored
-    by the exact EE at harvest times taus (K,) in one more; one point (N,)
-    with scalar cap and tau gives a float score. When fit (the floors
-    alone meet the antenna caps) a candidate whose projection did not
-    converge scores -inf.
+    by the exact EE at harvest times taus (K,) in one more. When fit (the
+    floors alone meet the antenna caps) a candidate whose projection did
+    not converge scores -inf.
 
     Returns (candidates, scores, converged flags).
     """
@@ -448,47 +448,36 @@ def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
 
     Gradient ascent stalls on the curve p = budget(tau): raising tau at
     fixed p lowers the EE even when raising tau and p together raises it.
-    The refinement rescales p with the budget, scans a coarse tau grid in
-    one scan, and golden-sections the best bracket. Grid points whose
-    projection did not converge are passed over when the floors alone fit
-    the antenna caps, and so is such a refined point, in favour of the
-    best grid point.
+    The refinement rescales p with the budget and scans TAU_GRID harvest
+    times over [tau_lo, tau_hi], then TAU_GRID more across the bracket of
+    the best one, one batched scan each. Points whose projection did not
+    converge are passed over when the floors alone fit the antenna caps.
 
     Returns (p, tau, number of unconverged projections read).
     """
-    from .game import best_response
-
     if problem.fixed_P_T is not None or tau_hi <= tau_lo:
         return p, tau, 0
     cap0 = problem.budget(tau)
     fit = floors_fit_caps(problem, p_min)
-    missed = 0
 
-    def at(t):
-        nonlocal missed
-        cap = problem.budget(t)
-        scale = cap / cap0 if cap0 > 0.0 else 1.0
-        cand, val, ok = _scan(problem, p * scale, p_min, cap, t, False)
-        missed += not ok
-        return val, cand, ok
+    def scan(taus):
+        caps = problem.budget(taus)
+        scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
+        return _scan(problem, p * scales[:, None], p_min, caps, taus, fit)
 
-    grid = np.linspace(tau_lo, tau_hi, 33)
-    caps = problem.budget(grid)
-    scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
-    cands, vals, ok = _scan(problem, p * scales[:, None], p_min, caps, grid,
-                            fit)
-    missed += int(np.sum(~ok))
+    grid = np.linspace(tau_lo, tau_hi, TAU_GRID)
+    cands, vals, ok = scan(grid)
     k = int(np.argmax(vals))
-    if vals[k] == -np.inf:
-        return p, tau, missed
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    t_best = best_response(lambda t: at(t)[0], lo, hi, tol=1e-8)
-    val, cand, ok = at(t_best)
-    if val < vals[k] or (fit and not ok):
-        t_best, val, cand = grid[k], vals[k], cands[k]
-    if val > problem.exact_objective(p, tau):
-        return cand, float(t_best), missed
+    fine = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, TAU_GRID - 1)],
+                       TAU_GRID)
+    fine_cands, fine_vals, fine_ok = scan(fine)
+    taus = np.concatenate([grid, fine])
+    cands = np.concatenate([cands, fine_cands])
+    vals = np.concatenate([vals, fine_vals])
+    missed = int(np.sum(~ok) + np.sum(~fine_ok))
+    k = int(np.argmax(vals))
+    if vals[k] > problem.exact_objective(p, tau):
+        return cands[k], float(taus[k]), missed
     return p, tau, missed
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uavnoma import bcd, game, sca
-from uavnoma.linklayer import build_link_state
+from uavnoma.linklayer import build_link_state, cycle_ee
 from uavnoma.params import IterLimits, SystemParams
 from uavnoma.scenario import make_scenario
 
@@ -148,20 +148,30 @@ def test_max_rounds_override():
 
 
 def test_sca_stop_counters_rerun_and_sum_over_rounds(monkeypatch):
-    """The SCA stop counters are deterministic and add up the rounds."""
+    """The SCA and block-1 counters are deterministic and add up the rounds."""
     params = SystemParams(N=4, M=8, R_min=0.0)
-    results = []
-    solve = bcd.sca_mod.run_algorithm2
+    results, games = [], []
+    solve, play = bcd.sca_mod.run_algorithm2, bcd.game_mod.run_algorithm1
 
     def record(*args, **kwargs):
         results.append(solve(*args, **kwargs))
         return results[-1]
 
+    def record_game(*args, **kwargs):
+        games.append(play(*args, **kwargs))
+        return games[-1]
+
     monkeypatch.setattr(bcd.sca_mod, "run_algorithm2", record)
+    monkeypatch.setattr(bcd.game_mod, "run_algorithm1", record_game)
     first = bcd.run_algorithm4(make_scenario(1, params)).counters
-    rounds = list(results)
+    rounds, played = list(results), list(games)
     assert bcd.run_algorithm4(make_scenario(1, params)).counters == first
     assert len(rounds) == first["rounds"]
+    # block 1 plays one game per pair every round
+    assert len(played) == first["rounds"] * params.N
+    assert first["game_uncertified"] == sum(not g.certified for g in played)
+    assert first["game_clamped"] == sum(g.ordering_clamped for g in played)
+    assert 0 <= first["alpha_relaxed"] <= first["rounds"]
     assert first["sca_stalled"] == sum(r.stops["stall"] for r in rounds)
     assert first["sca_inner_capped"] == sum(r.stops["capped"] for r in rounds)
     assert first["sca_proj_unconverged"] == sum(r.proj_unconverged
@@ -191,4 +201,50 @@ def test_polish_alpha_matches_rebuilt_problem():
             trial[n] = a
             return rebuilt_ee(trial)
         ref[n] = game.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
-    assert np.array_equal(bcd._polish_alpha(problem, p, tau, a0), ref)
+    assert np.array_equal(bcd._polish_alpha(problem.g1, problem.g2), ref)
+
+
+def golden_split(p, tau, g1, g2, beacon_gain, params, alpha_cc):
+    """The per-pair golden-section search the closed form replaced."""
+    out = alpha_cc.copy()
+    for n in range(out.size):
+        def ee_of(a, n=n):
+            trial = out.copy()
+            trial[n] = a
+            return cycle_ee(p, trial, tau, g1, g2, beacon_gain, params)
+        out[n] = game.best_response(ee_of, 1e-6, 0.5, tol=1e-6)
+    return out
+
+
+def test_polish_alpha_closed_form_matches_golden_search():
+    """The closed-form split is the search's answer or ties it in the EE.
+
+    Gains near those of a converged N=4, M=8 drop. Pairs: g1 > g2 with
+    ample power, g1 < g2, p_n = 0 (every split ties and the search keeps
+    its lower end), and a small p_n whose EE gain over the search's last
+    bracket is below its 1e-15 tie rule, so it stops short of 0.5.
+    """
+    params = SystemParams(N=4, M=8, R_min=0.0)
+    g1 = np.array([1.2, 4.7e-5, 3.8e-4, 0.23])
+    g2 = np.array([4.6e-9, 1.5e-4, 5.0e-5, 1.8e-6])
+    beacon_gain, tau = 1.42, 0.0625 * params.T
+    p = np.array([2.27, 1.0, 0.0, 3e-9])
+    ref = golden_split(p, tau, g1, g2, beacon_gain, params, np.full(4, 0.5))
+    closed = bcd._polish_alpha(g1, g2)
+
+    def ee(alpha_cc):
+        return cycle_ee(p, alpha_cc, tau, g1, g2, beacon_gain, params)
+
+    def with_ref(n):
+        out = closed.copy()
+        out[n] = ref[n]
+        return out
+
+    assert closed[0] == ref[0] == 0.5
+    assert closed[1] == ref[1] == bcd.ALPHA_LO
+    assert ref[2] == 1e-6 and closed[2] == 0.5
+    assert ee(closed) == ee(with_ref(2))
+    assert 0.49999 < ref[3] < 0.5
+    assert ee(closed) >= ee(with_ref(3))
+    assert ee(closed) == pytest.approx(ee(with_ref(3)), rel=1e-15, abs=0.0)
+    assert ee(closed) >= ee(ref)
