@@ -13,7 +13,7 @@ from .linklayer import (Allocation, build_link_state, build_report,  # noqa: F40
                         cycle_energy, exact_rates, link_gains, static_power,
                         tx_budget)
 from .params import SystemParams
-from .placement import search_box
+from .placement import box_grid, search_box
 from .scenario import Scenario
 
 MAX_GRID_POINTS = int(1e8)
@@ -148,13 +148,9 @@ def exhaustive_search(scenario: Scenario, params: SystemParams = None,
     alpha_axis = np.linspace(0.5 / spec.alpha_steps, 0.5, spec.alpha_steps)
     splits = _power_splits(prm.N, spec.power_steps)                       # S x N
     taus = np.linspace(0.0, prm.T * (1.0 - 1e-3), spec.tau_steps)
-    box = search_box(scenario, prm)
-    xs = np.linspace(box[0], box[1], spec.x_steps)
-    ys = np.linspace(box[2], box[3], spec.y_steps)
+    X, Y = box_grid(search_box(scenario, prm), spec.x_steps, spec.y_steps)
 
     P_s = static_power(prm)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    X, Y = X.ravel(), Y.ravel()
     gains_cc, gains_ce, beams, beacon_gains = link_gains(
         scenario, np.stack([X, Y], axis=1))
     unit_loads = splits @ np.swapaxes(np.abs(beams) ** 2, -1, -2)  # K x S x M

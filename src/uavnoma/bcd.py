@@ -17,7 +17,7 @@ from . import placement as placement_mod
 from . import sca as sca_mod
 from .baselines import etpa_coefficients
 from .linklayer import (Allocation, build_link_state, build_report,
-                        constraint_flags, cycle_ee, static_power, tx_budget)
+                        constraint_flags, cycle_ee)
 from .scenario import Scenario
 
 EE_SLACK = 1e-12   # arithmetic noise allowance in acceptance tests
@@ -75,15 +75,15 @@ def _polish_alpha(g_cc, g_ce):
     return np.where(g_cc > g_ce, 0.5, ALPHA_LO)
 
 
-def _alpha_from_game(link, p, tau, params, fixed_P_T):
+def _alpha_from_game(problem, p, tau):
     """Run the per-pair game; roles swap when precoding flips the ordering."""
-    Ps = (tx_budget(tau, link.beacon_gain, params, fixed_P_T)
-          + static_power(params))
+    params = problem.params
+    Ps = problem.budget(tau) + problem.P_s
     alpha_cc = np.empty(params.N)
     alpha_ce = np.empty(params.N)
     results = []
     for n in range(params.N):
-        g_cc, g_ce = link.eff_gain_cc[n], link.eff_gain_ce[n]
+        g_cc, g_ce = problem.g1[n], problem.g2[n]
         swapped = g_cc <= g_ce
         if swapped:
             g_cc, g_ce = g_ce, g_cc
@@ -111,14 +111,16 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     scheme: "noma" (game-based coefficients), "etpa" (fractional
     coefficients) or "oma" (orthogonal halves, no coefficients).
     fixed_P_T replaces harvesting with a battery budget (tau = 0). At most
-    params.iters.rounds rounds are run.
+    params.iters.rounds rounds are run. Raises PipelineInfeasible("C3/C4")
+    when the rate floors cannot be funded at the start; later, coefficients
+    or positions where they cannot be are rejected, so block 2 never fails.
     """
     prm = params or scenario.params
     mode = "oma" if scheme == "oma" else "noma"
     scn = scenario
     link = build_link_state(scn)
     counters = {"game_iterations": 0, "game_uncertified": 0,
-                "game_clamped": 0, "alpha_relaxed": 0, "sca_outer": 0,
+                "game_clamped": 0, "sca_outer": 0,
                 "sca_inner": 0, "sca_stalled": 0, "sca_inner_capped": 0,
                 "sca_proj_unconverged": 0, "placement_iterations": 0,
                 "rounds": 0}
@@ -128,6 +130,16 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
         alloc = Allocation(p=p, alpha_cc=a_cc, alpha_ce=a_ce, tau=tau,
                            fixed_P_T=fixed_P_T)
         return all(constraint_flags(scn, link, alloc, mode).values())
+
+    def block2(link, a_cc, a_ce):
+        """Block 2's problem, or None where its rate floors cannot be funded."""
+        problem = sca_mod.ScaProblem.from_link(link, a_cc, a_ce, prm,
+                                               mode=mode, fixed_P_T=fixed_P_T)
+        try:
+            problem.tau_range
+        except sca_mod.InfeasibleAllocation:
+            return None
+        return problem
 
     if scheme == "etpa":
         alpha_cc, alpha_ce = etpa_coefficients(
@@ -139,11 +151,10 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
     problem = sca_mod.ScaProblem.from_link(link, alpha_cc, alpha_ce, prm,
                                            mode=mode, fixed_P_T=fixed_P_T)
     try:
-        p_min = sca_mod.combined_lower_bounds(problem)
-        tau_lo, tau_hi = sca_mod.tau_bounds(problem, p_min)
+        problem.tau_range
     except sca_mod.InfeasibleAllocation as e:
         raise PipelineInfeasible("C3/C4", str(e)) from e
-    p, tau = sca_mod.initial_point(problem, p_min, tau_lo, tau_hi)
+    p, tau = sca_mod.initial_point(problem)
     ee = problem.exact_objective(p, tau)
 
     trace = BcdTrace()
@@ -164,8 +175,7 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
         # -- block 1: intra-pair coefficients
         candidates = []
         if scheme == "noma":
-            cand_cc, cand_ce, game_results = _alpha_from_game(
-                link, p, tau, prm, fixed_P_T)
+            cand_cc, cand_ce, game_results = _alpha_from_game(problem, p, tau)
             counters["game_iterations"] += sum(len(g.trace) for g in game_results)
             counters["game_uncertified"] += sum(not g.certified
                                                 for g in game_results)
@@ -187,26 +197,13 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
                     and feasible(scn, link, p, a_cc, a_ce, tau)):
                 best = (val, a_cc, a_ce)
         if best is not None and best[0] >= ee - EE_SLACK:
-            ee, alpha_cc, alpha_ce = best
-            problem = sca_mod.ScaProblem.from_link(
-                link, alpha_cc, alpha_ce, prm, mode=mode, fixed_P_T=fixed_P_T)
+            new_problem = block2(link, best[1], best[2])
+            if new_problem is not None:
+                ee, alpha_cc, alpha_ce = best
+                problem = new_problem
 
         # -- block 2: inter-pair power and WPT time
-        relaxed = False
-        while True:
-            try:
-                res2 = sca_mod.run_algorithm2(problem, p0=p, tau0=tau)
-                break
-            except sca_mod.InfeasibleAllocation as e:
-                if relaxed:
-                    raise PipelineInfeasible("C3/C4", str(e)) from e
-                relaxed = True
-                counters["alpha_relaxed"] += 1
-                alpha_cc = alpha_cc / 2.0      # shift power toward the CE users
-                alpha_ce = 1.0 - alpha_cc
-                problem = sca_mod.ScaProblem.from_link(
-                    link, alpha_cc, alpha_ce, prm, mode=mode,
-                    fixed_P_T=fixed_P_T)
+        res2 = sca_mod.run_algorithm2(problem, p0=p, tau0=tau)
         counters["sca_outer"] += len(res2.trace) - 1
         counters["sca_inner"] += res2.inner_iterations
         counters["sca_stalled"] += res2.stops["stall"]
@@ -228,23 +225,16 @@ def run_pipeline(scenario: Scenario, params=None, scheme="noma",
             if res3.ee >= ee - EE_SLACK and res3.xy != scn.uav_xy:
                 moved = scn.with_uav(*res3.xy)
                 new_link = build_link_state(moved)
-                new_problem = sca_mod.ScaProblem.from_link(
-                    new_link, alpha_cc, alpha_ce, prm, mode=mode,
-                    fixed_P_T=fixed_P_T)
-                # the harvested budget moved with the beacon gain, so the
-                # powers must be re-projected before the move is judged
-                try:
-                    p_min3 = sca_mod.combined_lower_bounds(new_problem)
-                    p_new, _ = sca_mod.project_powers(
-                        p, p_min3, new_problem.budget(tau),
-                        new_problem.antenna_loads, prm.P_iota)
+                new_problem = block2(new_link, alpha_cc, alpha_ce)
+                if new_problem is not None:
+                    # the harvested budget moved with the beacon gain, so
+                    # the powers are re-projected before the move is judged
+                    p_new, _ = new_problem.project(p, tau)
                     ee_new = new_problem.exact_objective(p_new, tau)
-                except sca_mod.InfeasibleAllocation:
-                    ee_new = -np.inf
-                if ee_new >= ee and feasible(moved, new_link, p_new,
-                                             alpha_cc, alpha_ce, tau):
-                    scn, link, problem = moved, new_link, new_problem
-                    p, ee = p_new, ee_new
+                    if ee_new >= ee and feasible(moved, new_link, p_new,
+                                                 alpha_cc, alpha_ce, tau):
+                        scn, link, problem = moved, new_link, new_problem
+                        p, ee = p_new, ee_new
 
         record(r)
         if ee - ee_start <= prm.tol.varpi * max(abs(ee_start), 1e-12):
@@ -281,9 +271,7 @@ def position_starts(scenario: Scenario, params=None, k=6, grid=11):
                        alpha_cc=np.full(prm.N, 0.3),
                        alpha_ce=np.full(prm.N, 0.7), tau=0.5 * prm.T)
     f = placement_mod.ee_of_position(scenario, alloc, box=box)
-    X, Y = np.meshgrid(np.linspace(x_min, x_max, grid),
-                       np.linspace(y_min, y_max, grid), indexing="ij")
-    X, Y = X.ravel(), Y.ravel()
+    X, Y = placement_mod.box_grid(box, grid, grid)
     ranked = sorted(zip(f(X, Y).tolist(), X.tolist(), Y.tolist()),
                     reverse=True)
     picked = []

@@ -19,6 +19,7 @@ import yaml
 from . import baselines, bcd
 from .linklayer import cycle_ee, link_gains, tx_budget
 from .params import ConfigError, SystemParams, load_params
+from .placement import box_grid
 from .scenario import make_scenario
 
 VERSION = "uavnoma-0.1.0"
@@ -88,10 +89,8 @@ class Sweep:
 
 def _ax_param(name, extra=None):
     def apply(params, value):
-        params = params.replace(**{name: value})
-        if extra:
-            params = params.replace(**extra)
-        return params, None
+        # one replace, so the value and extra are validated together
+        return params.replace(**{name: value, **(extra or {})}), None
     return apply
 
 
@@ -157,10 +156,7 @@ def _run_point(name, axis_value, scheme, seed, params, fixed_P_T):
 
 def _heatmap_rows(params, seed):
     """The 11 x 11 position grid of one seed, at harvest time T/2."""
-    X, Y = np.meshgrid(np.linspace(params.box[0], params.box[1], 11),
-                       np.linspace(params.box[2], params.box[3], 11),
-                       indexing="ij")
-    X, Y = X.ravel(), Y.ravel()
+    X, Y = box_grid(params.box, 11, 11)
     ees = _neutral_ee(make_scenario(seed, params), params.T / 2,
                       np.stack([X, Y], axis=1))
     return [(f"{x:.10g}:{y:.10g}", "grid_ee", seed, ee, 0, 0.0, "")

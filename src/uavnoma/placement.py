@@ -153,6 +153,14 @@ def search_box(scenario: Scenario, params):
     return (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
 
 
+def box_grid(box, nx, ny):
+    """The nx x ny grid over box = (x_min, x_max, y_min, y_max), as raveled
+    x and y arrays with x the slower index."""
+    X, Y = np.meshgrid(np.linspace(box[0], box[1], nx),
+                       np.linspace(box[2], box[3], ny), indexing="ij")
+    return X.ravel(), Y.ravel()
+
+
 def run_algorithm3(scenario: Scenario, alloc: Allocation, params=None,
                    scheme="noma", grid_init=0) -> PlacementResult:
     """Optimize the UAV position at fixed allocation.
@@ -167,11 +175,9 @@ def run_algorithm3(scenario: Scenario, alloc: Allocation, params=None,
     f = ee_of_position(scenario, alloc, scheme=scheme, box=box)
     xy0 = scenario.uav_xy
     if grid_init and grid_init > 1:
-        xs = np.linspace(box[0], box[1], int(grid_init))
-        ys = np.linspace(box[2], box[3], int(grid_init))
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        cx = np.append(X.ravel(), xy0[0])
-        cy = np.append(Y.ravel(), xy0[1])
+        X, Y = box_grid(box, int(grid_init), int(grid_init))
+        cx = np.append(X, xy0[0])
+        cy = np.append(Y, xy0[1])
         best = int(np.argmax(f(cx, cy)))
         xy0 = (cx[best], cy[best])
     return maximize_over_box(f, xy0, box, eps=prm.tol.eps_place,

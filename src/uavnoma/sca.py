@@ -3,12 +3,14 @@
 The nonconcave coupling term of the throughput is replaced by its tangent
 linearization at the previous iterate; each convexified
 subproblem is solved by projected gradient ascent over the polytope
-{p >= lower bounds, sum(p) <= P_T(tau), per-antenna caps, tau in [tau_lo, T)}.
+{p >= lower bounds, sum(p) <= P_T(tau), per-antenna caps, tau in tau_range},
+the admissible set ScaProblem derives once from the rate floors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,13 @@ def _scalar(x):
 
 @dataclass
 class ScaProblem:
-    """Fixed data of problem P3/P4: coefficients, gains and energy constants."""
+    """Fixed data of problem P3/P4: coefficients, gains and energy constants.
+
+    Construction accepts any coefficients, so a problem also serves as an
+    EE evaluator; the admissible set (p_min, tau_range) is derived on first
+    use, and tau_range raises InfeasibleAllocation where the rate floors
+    cannot be funded.
+    """
 
     alpha_cc: np.ndarray
     alpha_ce: np.ndarray
@@ -79,6 +87,48 @@ class ScaProblem:
             return self.c_tau
         T = self.params.T
         return self.c_tau + T * self.G * T / (T - tau) ** 2
+
+    # -- admissible set -----------------------------------------------------
+
+    @cached_property
+    def p_min(self) -> np.ndarray:
+        """Per-pair minimum powers of the rate floors C3/C4."""
+        return np.maximum(*rate_lower_bounds(
+            self.alpha_cc, self.alpha_ce, self.g1, self.g2, self.params,
+            mode=self.mode))
+
+    @cached_property
+    def tau_range(self) -> tuple:
+        """Feasible WPT time interval given p_min; (0, 0) on a battery."""
+        prm = self.params
+        S = float(np.sum(self.p_min))
+        if self.fixed_P_T is not None:
+            if self.fixed_P_T < S - 1e-12:
+                raise InfeasibleAllocation(
+                    "fixed power budget below the rate-floor requirement")
+            return 0.0, 0.0
+        hi = prm.T * (1.0 - TAU_GUARD)
+        if S <= 0.0:
+            return 0.0, hi
+        lo = S * prm.T / (self.G + S) * (1.0 + 1e-9) + 1e-15
+        if lo > hi:
+            raise InfeasibleAllocation("rate floors require tau beyond the cycle")
+        return lo, hi
+
+    @cached_property
+    def floors_fit_caps(self) -> bool:
+        """Whether the rate floors alone meet the per-antenna caps.
+
+        Only then can every projection converge; otherwise none does, and
+        the scans must not discard their candidates for it.
+        """
+        v = self.antenna_loads @ self.p_min - self.params.P_iota
+        return bool(np.all(v <= PROJ_TOL))
+
+    def project(self, p, tau):
+        """project_powers onto the admissible powers at harvest time tau."""
+        return project_powers(p, self.p_min, self.budget(tau),
+                              self.antenna_loads, self.params.P_iota)
 
     # -- objectives ---------------------------------------------------------
     # p may be (K, N) with tau (K,): one value per row, each equal to the
@@ -132,8 +182,6 @@ class ScaProblem:
         dE = self.energy_dtau(tau)
         grad_p = dnum_p / E
         grad_tau = dnum_tau / E - num * dE / E ** 2
-        if self.fixed_P_T is not None:
-            grad_tau = 0.0
         return grad_p, float(grad_tau)
 
 
@@ -171,31 +219,6 @@ def rate_lower_bounds(alpha_cc, alpha_ce, g1, g2, params, mode="noma"):
             f"pair {int(bad[0])}: rate floor needs unbounded power "
             "(zero effective gain)")
     return p_cc, p_ce
-
-
-def combined_lower_bounds(problem: ScaProblem):
-    lo_cc, lo_ce = rate_lower_bounds(problem.alpha_cc, problem.alpha_ce,
-                                     problem.g1, problem.g2, problem.params,
-                                     mode=problem.mode)
-    return np.maximum(lo_cc, lo_ce)
-
-
-def tau_bounds(problem: ScaProblem, p_min):
-    """Feasible WPT time interval given the power lower bounds."""
-    prm = problem.params
-    if problem.fixed_P_T is not None:
-        if problem.fixed_P_T < np.sum(p_min) - 1e-12:
-            raise InfeasibleAllocation(
-                "fixed power budget below the rate-floor requirement")
-        return 0.0, 0.0
-    hi = prm.T * (1.0 - TAU_GUARD)
-    S = float(np.sum(p_min))
-    if S <= 0.0:
-        return 0.0, hi
-    lo = S * prm.T / (problem.G + S) * (1.0 + 1e-9) + 1e-15
-    if lo > hi:
-        raise InfeasibleAllocation("rate floors require tau beyond the cycle")
-    return lo, hi
 
 
 def _cap_simplex(q, cap):
@@ -270,16 +293,6 @@ def project_powers(p, p_min, cap, loads, P_iota):
     return out, converged
 
 
-def floors_fit_caps(problem: ScaProblem, p_min) -> bool:
-    """Whether the rate floors alone meet the per-antenna caps.
-
-    Only then can every projection converge; otherwise none does, and the
-    scans must not discard their candidates for it.
-    """
-    v = problem.antenna_loads @ p_min - problem.params.P_iota
-    return bool(np.all(v <= PROJ_TOL))
-
-
 @dataclass
 class SubproblemStats:
     iterations: int
@@ -287,7 +300,7 @@ class SubproblemStats:
     unconverged: int     # projected points read that did not converge
 
 
-def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi):
+def solve_subproblem(problem: ScaProblem, p_ref, tau_ref):
     """Maximize the surrogate by projected gradient ascent with backtracking.
 
     Each step projects the unit probe of the stationarity test and a block
@@ -305,9 +318,8 @@ def solve_subproblem(problem: ScaProblem, p_ref, tau_ref, p_min, tau_lo, tau_hi)
     prm = problem.params
 
     def project(p, tau):
-        tau = np.clip(tau, tau_lo, tau_hi)
-        p, ok = project_powers(p, p_min, problem.budget(tau),
-                               problem.antenna_loads, prm.P_iota)
+        tau = np.clip(tau, *problem.tau_range)
+        p, ok = problem.project(p, tau)
         return p, tau, ok
 
     p, tau, ok = project(np.asarray(p_ref, float), float(tau_ref))
@@ -370,16 +382,12 @@ class ScaResult:
     proj_unconverged: int = 0   # scan and ascent points left above a cap
 
 
-def initial_point(problem: ScaProblem, p_min, tau_lo, tau_hi):
+def initial_point(problem: ScaProblem):
     prm = problem.params
-    if problem.fixed_P_T is not None:
-        tau0 = 0.0
-    else:
-        tau0 = max(prm.T / 2.0, min(tau_lo * 1.01 + 1e-12, tau_hi))
-        tau0 = float(np.clip(tau0, tau_lo, tau_hi))
-    cap = problem.budget(tau0)
-    p0 = np.full(prm.N, cap / prm.N)
-    p0, _ = project_powers(p0, p_min, cap, problem.antenna_loads, prm.P_iota)
+    tau_lo, tau_hi = problem.tau_range
+    tau0 = max(prm.T / 2.0, min(tau_lo * 1.01 + 1e-12, tau_hi))
+    tau0 = float(np.clip(tau0, tau_lo, tau_hi))
+    p0, _ = problem.project(np.full(prm.N, problem.budget(tau0) / prm.N), tau0)
     return p0, tau0
 
 
@@ -387,25 +395,25 @@ SCREEN_TAUS = 9   # coarse WPT-time candidates scanned before the ascent
 TAU_GRID = 33     # harvest times per scan of the harvest-time polish
 
 
-def _scan(problem: ScaProblem, rows, p_min, caps, taus, fit):
+def _scan(problem: ScaProblem, rows, caps, taus):
     """Project candidate powers onto their budgets and score them.
 
     rows (K, N) are projected with budgets caps (K,) in one call and scored
-    by the exact EE at harvest times taus (K,) in one more. When fit (the
-    floors alone meet the antenna caps) a candidate whose projection did
-    not converge scores -inf.
+    by the exact EE at harvest times taus (K,) in one more. Where the
+    floors alone meet the antenna caps (problem.floors_fit_caps) a
+    candidate whose projection did not converge scores -inf.
 
     Returns (candidates, scores, converged flags).
     """
-    cands, ok = project_powers(rows, p_min, caps, problem.antenna_loads,
-                               problem.params.P_iota)
+    cands, ok = project_powers(rows, problem.p_min, caps,
+                               problem.antenna_loads, problem.params.P_iota)
     vals = problem.exact_objective(cands, taus)
-    if fit:
+    if problem.floors_fit_caps:
         vals = np.where(ok, vals, -np.inf)
     return cands, vals, ok
 
 
-def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
+def _screen_starts(problem: ScaProblem, p, tau):
     """Best starting point among the incumbent and a coarse candidate scan.
 
     The exact EE is multimodal: shutting a weak pair off and concentrating
@@ -420,7 +428,9 @@ def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     """
     prm = problem.params
     N = prm.N
-    if problem.fixed_P_T is None and tau_hi > tau_lo:
+    p_min = problem.p_min
+    tau_lo, tau_hi = problem.tau_range
+    if tau_hi > tau_lo:
         taus = np.linspace(max(tau_lo, 1e-3 * prm.T), tau_hi, SCREEN_TAUS)
     else:
         taus = np.array([tau])
@@ -434,36 +444,35 @@ def _screen_starts(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
     extra = np.concatenate([np.repeat((heads / N)[:, None, None], N, axis=2),
                             heads[:, None, None] * np.eye(N)], axis=1)
     t_rows = np.repeat(taus, N + 1)
-    cands, vals, ok = _scan(problem, (p_min + extra).reshape(-1, N), p_min,
-                            np.repeat(caps, N + 1), t_rows,
-                            floors_fit_caps(problem, p_min))
+    cands, vals, ok = _scan(problem, (p_min + extra).reshape(-1, N),
+                            np.repeat(caps, N + 1), t_rows)
     k = int(np.argmax(vals))
     if vals[k] > problem.exact_objective(p, tau):
         p, tau = cands[k], t_rows[k]
     return p, tau, int(np.sum(~ok))
 
 
-def _polish_tau(problem: ScaProblem, p, tau, p_min, tau_lo, tau_hi):
+def _polish_tau(problem: ScaProblem, p, tau):
     """1-D refinement of the harvest time along the budget-tight boundary.
 
     Gradient ascent stalls on the curve p = budget(tau): raising tau at
     fixed p lowers the EE even when raising tau and p together raises it.
     The refinement rescales p with the budget and scans TAU_GRID harvest
-    times over [tau_lo, tau_hi], then TAU_GRID more across the bracket of
+    times over problem.tau_range, then TAU_GRID more across the bracket of
     the best one, one batched scan each. Points whose projection did not
     converge are passed over when the floors alone fit the antenna caps.
 
     Returns (p, tau, number of unconverged projections read).
     """
-    if problem.fixed_P_T is not None or tau_hi <= tau_lo:
+    tau_lo, tau_hi = problem.tau_range
+    if tau_hi <= tau_lo:
         return p, tau, 0
     cap0 = problem.budget(tau)
-    fit = floors_fit_caps(problem, p_min)
 
     def scan(taus):
         caps = problem.budget(taus)
         scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
-        return _scan(problem, p * scales[:, None], p_min, caps, taus, fit)
+        return _scan(problem, p * scales[:, None], caps, taus)
 
     grid = np.linspace(tau_lo, tau_hi, TAU_GRID)
     cands, vals, ok = scan(grid)
@@ -486,26 +495,23 @@ def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
 
     Iterates are accepted only if the exact objective does not decrease, so
     the recorded trace is monotone even where the minorization is inexact
-    in tau.
+    in tau. Raises InfeasibleAllocation where the rate floors cannot be
+    funded (problem.tau_range).
     """
     prm = problem.params
-    p_min = combined_lower_bounds(problem)
-    tau_lo, tau_hi = tau_bounds(problem, p_min)
     if p0 is None or tau0 is None:
-        p, tau = initial_point(problem, p_min, tau_lo, tau_hi)
+        p, tau = initial_point(problem)
     else:
-        tau = float(np.clip(tau0, tau_lo, tau_hi))
-        p, _ = project_powers(p0, p_min, problem.budget(tau),
-                              problem.antenna_loads, prm.P_iota)
-    p, tau, missed = _screen_starts(problem, p, tau, p_min, tau_lo, tau_hi)
+        tau = float(np.clip(tau0, *problem.tau_range))
+        p, _ = problem.project(p0, tau)
+    p, tau, missed = _screen_starts(problem, p, tau)
     F = problem.exact_objective(p, tau)
     trace = [(0, tau, p.copy(), F, F)]
     inner_total = 0
     stops = dict.fromkeys(STOP_REASONS, 0)
     converged = False
     for j in range(1, prm.iters.J + 1):
-        p_new, tau_new, stats = solve_subproblem(
-            problem, p, tau, p_min, tau_lo, tau_hi)
+        p_new, tau_new, stats = solve_subproblem(problem, p, tau)
         inner_total += stats.iterations
         stops[stats.stop] += 1
         missed += stats.unconverged
@@ -514,8 +520,7 @@ def run_algorithm2(problem: ScaProblem, p0=None, tau0=None) -> ScaResult:
             # about to settle: refine tau along the budget-tight boundary,
             # which the gradient ascent cannot track on its own
             p_pol, tau_pol, n = _polish_tau(problem, *(
-                (p_new, tau_new) if F_new >= F else (p, tau)),
-                p_min, tau_lo, tau_hi)
+                (p_new, tau_new) if F_new >= F else (p, tau)))
             missed += n
             F_pol = problem.exact_objective(p_pol, tau_pol)
             if F_pol > max(F, F_new):

@@ -161,3 +161,15 @@ def test_convergence_sweep_writes_error_rows(tmp_path):
     assert errors == [f"None,{s},0,nan,-1,0,PipelineInfeasible"
                       for s in ("etpa_ld", "noma_ld", "noma_no_ld")]
     assert any(",oma_ld," in line for line in lines)
+
+
+@pytest.mark.parametrize("name", sorted(cli._experiments()))
+def test_every_experiment_runs_at_the_defaults(name, tmp_path, monkeypatch):
+    """Each sweep exits 0 and writes its CSV header; failed points are rows."""
+    monkeypatch.delenv("UAVNOMA_OUT", raising=False)
+    rc = cli.main(["run", "--experiment", name, "--seeds", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    axis = cli._experiments()[name].axis
+    header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+    assert header == f"{axis},scheme,seed,EE,rounds,wall_ms,error"

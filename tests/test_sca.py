@@ -156,10 +156,8 @@ def test_project_powers_respects_all_sets():
 
 def test_subproblem_budget_tight_when_cap_active():
     problem, _ = make_problem(seed=5, R_min=0.0)
-    p_min = sca.combined_lower_bounds(problem)
-    tau_lo, tau_hi = sca.tau_bounds(problem, p_min)
-    p0, tau0 = sca.initial_point(problem, p_min, tau_lo, tau_hi)
-    p, tau, _ = sca.solve_subproblem(problem, p0, tau0, p_min, tau_lo, tau_hi)
+    p0, tau0 = sca.initial_point(problem)
+    p, tau, _ = sca.solve_subproblem(problem, p0, tau0)
     # rates increase in p, so the budget should bind at the solution
     assert np.sum(p) == pytest.approx(problem.budget(tau), rel=1e-6)
 
@@ -168,9 +166,8 @@ def test_subproblem_single_pair_matches_grid():
     problem, _ = make_problem(seed=6, N=1, M=2, R_min=0.0)
     tau = 0.5
     cap = problem.budget(tau)
-    p_min = np.zeros(1)
-    p, _, _ = sca.solve_subproblem(problem, np.array([cap / 2]), tau,
-                                   p_min, tau, tau)
+    problem.tau_range = (tau, tau)     # pin the harvest time
+    p, _, _ = sca.solve_subproblem(problem, np.array([cap / 2]), tau)
     grid = np.linspace(0.0, cap, 2001)
     vals = np.array([problem.surrogate_objective(np.array([x]), tau,
                                                  np.array([cap / 2]), tau)
@@ -220,8 +217,8 @@ def test_fixed_budget_mode():
 
 def test_tau_bounds_closed_form():
     problem, _ = make_problem(seed=3, R_min=0.1)
-    p_min = sca.combined_lower_bounds(problem)
-    lo, hi = sca.tau_bounds(problem, p_min)
+    p_min = problem.p_min
+    lo, hi = problem.tau_range
     S = float(np.sum(p_min))
     assert lo == pytest.approx(S * problem.params.T / (problem.G + S), rel=1e-6)
     # at tau = lo the harvested budget covers the lower bounds
@@ -369,9 +366,11 @@ def test_subproblem_matches_sequential_ascent():
     calls = drop_subproblems([1, 2, 3])
     assert len(calls) >= 10
     stops = set()
-    for problem, p_ref, tau_ref, *box in calls:
-        p, tau, stats = sca.solve_subproblem(problem, p_ref, tau_ref, *box)
-        p_seq, tau_seq = sequential_subproblem(problem, p_ref, tau_ref, *box)
+    for problem, p_ref, tau_ref in calls:
+        p, tau, stats = sca.solve_subproblem(problem, p_ref, tau_ref)
+        p_seq, tau_seq = sequential_subproblem(problem, p_ref, tau_ref,
+                                               problem.p_min,
+                                               *problem.tau_range)
         stops.add(stats.stop)
         assert problem.surrogate_objective(p, tau, p_ref, tau_ref) == \
             pytest.approx(problem.surrogate_objective(p_seq, tau_seq, p_ref,
@@ -417,17 +416,12 @@ def test_scans_skip_candidates_above_an_antenna_cap():
         link = build_link_state(make_scenario(seed, params))
         a = np.full(params.N, 0.3)
         problem = sca.ScaProblem.from_link(link, a, 1.0 - a, params)
-        p_min = sca.combined_lower_bounds(problem)
-        tau_lo, tau_hi = sca.tau_bounds(problem, p_min)
-        assert sca.floors_fit_caps(problem, p_min)
-        p0, tau0 = sca.initial_point(problem, p_min, tau_lo, tau_hi)
-        p, tau, n = sca._screen_starts(problem, p0, tau0, p_min, tau_lo,
-                                       tau_hi)
+        assert problem.floors_fit_caps
+        p0, tau0 = sca.initial_point(problem)
+        p, tau, n = sca._screen_starts(problem, p0, tau0)
         skipped += n
-        for q, t in ((p, tau), sca._polish_tau(problem, p, tau, p_min,
-                                               tau_lo, tau_hi)[:2]):
-            _, ok = sca.project_powers(q, p_min, problem.budget(t),
-                                       problem.antenna_loads, params.P_iota)
+        for q, t in ((p, tau), sca._polish_tau(problem, p, tau)[:2]):
+            _, ok = problem.project(q, t)
             assert ok or (q is p0)
     assert skipped > 0
 
@@ -435,7 +429,7 @@ def test_scans_skip_candidates_above_an_antenna_cap():
 def golden_polish_tau(problem, p, tau, p_min, tau_lo, tau_hi):
     """The golden-section harvest-time polish the two grids replaced."""
     cap0 = problem.budget(tau)
-    fit = sca.floors_fit_caps(problem, p_min)
+    fit = problem.floors_fit_caps
 
     def at(t):
         cap = problem.budget(t)
@@ -448,8 +442,7 @@ def golden_polish_tau(problem, p, tau, p_min, tau_lo, tau_hi):
     grid = np.linspace(tau_lo, tau_hi, 33)
     caps = problem.budget(grid)
     scales = caps / cap0 if cap0 > 0.0 else np.ones_like(caps)
-    cands, vals, _ = sca._scan(problem, p * scales[:, None], p_min, caps,
-                               grid, fit)
+    cands, vals, _ = sca._scan(problem, p * scales[:, None], caps, grid)
     k = int(np.argmax(vals))
     if vals[k] == -np.inf:
         return p, tau
@@ -489,16 +482,40 @@ def test_polish_tau_grids_track_golden_search(monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(sca, "project_powers", count)
-    for problem, p, tau, *box in calls:
+    for problem, p, tau in calls:
         ee0 = problem.exact_objective(p, tau)
-        ref = problem.exact_objective(*golden_polish_tau(problem, p, tau,
-                                                         *box))
+        ref = problem.exact_objective(*golden_polish_tau(
+            problem, p, tau, problem.p_min, *problem.tau_range))
         projections = 0
-        q, t, _ = sca._polish_tau(problem, p, tau, *box)
+        q, t, _ = sca._polish_tau(problem, p, tau)
         assert projections == 2
         ee = problem.exact_objective(q, t)
         assert ee >= ee0
         assert ee == pytest.approx(ref, rel=1e-4)
+
+
+def test_unfunded_floors_build_but_do_not_solve():
+    """A problem whose rate floors need tau beyond the cycle is built and
+    evaluates the EE; its admissible set and run_algorithm2 raise."""
+    problem, _ = make_problem(seed=0, R_min=0.5, P_beacon=1e-5)
+    assert np.all(np.isfinite(problem.p_min))
+    assert np.isfinite(problem.exact_objective(np.ones(2), 0.5))
+    with pytest.raises(sca.InfeasibleAllocation, match="beyond the cycle"):
+        problem.tau_range
+    with pytest.raises(sca.InfeasibleAllocation, match="beyond the cycle"):
+        sca.run_algorithm2(problem)
+
+
+def test_battery_pins_tau_at_zero():
+    """On a battery the admissible harvest time is the point tau = 0, and
+    a budget below the floors' sum cannot fund them."""
+    funded, _ = make_problem(seed=0, R_min=0.1)
+    short, _ = make_problem(seed=0, R_min=0.1)
+    S = float(np.sum(funded.p_min))
+    funded.fixed_P_T, short.fixed_P_T = 2.0 * S, 0.5 * S
+    assert funded.tau_range == (0.0, 0.0)
+    with pytest.raises(sca.InfeasibleAllocation, match="fixed power budget"):
+        short.tau_range
 
 
 def test_stop_reasons_count_every_subproblem():
